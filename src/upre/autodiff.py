@@ -10,6 +10,12 @@ reshape, pick, gather) and two sampling ops (patch broadcast, bilinear
 resample) needed by the feature pipelines.  Everything downstream is a
 composition of these.
 
+The row ops (``linear_rows``, ``l2_normalize_rows``, ``softmax_rows``,
+``pick_rows``, ``gather_rows``), ``avg_pool2`` and the stacked form of
+``bilinear_resample`` treat the leading axis as a batch of independent
+rows, so a whole scene's proposals go through the detector head as one
+node per op instead of one per proposal.
+
 Gradient conventions: the L1 subgradient at a tie is 0, relu's subgradient
 at 0 is 0.  ``grad_check`` compares analytic gradients against central
 finite differences with relative error normalized by
@@ -410,40 +416,152 @@ def patch_broadcast(t: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tens
 
 
 def bilinear_resample(x: Tensor, src_y: np.ndarray, src_x: np.ndarray) -> Tensor:
-    """Sample (C, H, W) at continuous source coords -> (C, len(src_y), len(src_x))."""
+    """Sample (C, H, W) at continuous source coords.
+
+    1-D ``src_y`` (Ho,) and ``src_x`` (Wo,) give one (C, Ho, Wo) grid.  2-D
+    ``src_y`` (N, Ho) and ``src_x`` (N, Wo) give one grid per row, stacked
+    to (N, C, Ho, Wo).  The 1-D form runs as a stack of one.
+    """
     if x.values.ndim != 3:
         raise ShapeError("bilinear_resample: needs a (C, H, W) input")
-    _, h, w = x.shape
+    src_y = np.asarray(src_y, dtype=np.float64)
+    src_x = np.asarray(src_x, dtype=np.float64)
+    single = src_y.ndim == 1 and src_x.ndim == 1
+    if single:
+        src_y, src_x = src_y[None], src_x[None]
+    if src_y.ndim != 2 or src_x.ndim != 2 or src_y.shape[0] != src_x.shape[0]:
+        raise ShapeError("bilinear_resample: coords must be 1-D, or (N, Ho) and (N, Wo)")
+    c, h, w = x.shape
     sy = np.clip(src_y, 0.0, h - 1.0)
     sx = np.clip(src_x, 0.0, w - 1.0)
     y0 = np.floor(sy).astype(np.int64)
     x0 = np.floor(sx).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = (sy - y0)[:, None]
-    fx = (sx - x0)[None, :]
-    w00 = (1 - fy) * (1 - fx)
-    w01 = (1 - fy) * fx
-    w10 = fy * (1 - fx)
-    w11 = fy * fx
-    v = x.values
-    out = (
-        w00 * v[:, y0[:, None], x0[None, :]]
-        + w01 * v[:, y0[:, None], x1[None, :]]
-        + w10 * v[:, y1[:, None], x0[None, :]]
-        + w11 * v[:, y1[:, None], x1[None, :]]
-    )
+    fy = (sy - y0)[:, :, None, None]
+    fx = (sx - x0)[:, None, :, None]
+    # per corner: (N, Ho, Wo, 1) weights and (N, Ho, Wo) flat pixel indices
+    weights = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
+    row0, row1 = (y0 * w)[:, :, None], (y1 * w)[:, :, None]
+    col0, col1 = x0[:, None, :], x1[:, None, :]
+    pixels = (row0 + col0, row0 + col1, row1 + col0, row1 + col1)
+    # channel-last pixel table: each sample gathers one contiguous row of C values
+    table = np.ascontiguousarray(x.values.reshape(c, h * w).T)
+    acc = np.take(table, pixels[0], axis=0)
+    acc *= weights[0]
+    for wt, pix in zip(weights[1:], pixels[1:]):
+        corner = np.take(table, pix, axis=0)
+        corner *= wt
+        acc += corner
+    out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
 
     def vjp(g):
-        acc = np.zeros_like(v)
-        cs = np.arange(v.shape[0])[:, None, None]
-        np.add.at(acc, (cs, y0[None, :, None], x0[None, None, :]), g * w00)
-        np.add.at(acc, (cs, y0[None, :, None], x1[None, None, :]), g * w01)
-        np.add.at(acc, (cs, y1[None, :, None], x0[None, None, :]), g * w10)
-        np.add.at(acc, (cs, y1[None, :, None], x1[None, None, :]), g * w11)
-        _accum(x, acc)
+        # one bincount over the four corners in turn: each input pixel sums its
+        # contributions in the same order as one scatter-add per corner
+        gl = (g[None] if single else g).transpose(0, 2, 3, 1)
+        chan = np.arange(c)
+        index = np.concatenate([(pix[..., None] * c + chan).reshape(-1) for pix in pixels])
+        contrib = np.concatenate([(gl * wt).reshape(-1) for wt in weights])
+        total = np.bincount(index, weights=contrib, minlength=h * w * c)
+        _accum(x, np.ascontiguousarray(total.reshape(h * w, c).T).reshape(c, h, w))
 
-    return _node(out, (x,), vjp)
+    return _node(out[0] if single else out, (x,), vjp)
+
+
+def avg_pool2(a: Tensor) -> Tensor:
+    """2x2 average pooling with stride 2 over the last two axes."""
+    if a.values.ndim < 2 or a.shape[-2] % 2 or a.shape[-1] % 2:
+        raise ShapeError(f"avg_pool2: needs even trailing dims, got {a.shape}")
+    v = a.values
+    # pairs within each row first, then across rows: the order a mean over
+    # the two pooled axes of a (..., H/2, 2, W/2, 2) view sums in
+    out = ((v[..., 0::2, 0::2] + v[..., 0::2, 1::2]) + (v[..., 1::2, 0::2] + v[..., 1::2, 1::2])) / 4
+
+    def vjp(g):
+        buf = np.empty_like(v)
+        quarter = g / 4
+        for dy in (0, 1):
+            for dx in (0, 1):
+                buf[..., dy::2, dx::2] = quarter
+        _accum(a, buf)
+
+    return _node(out, (a,), vjp)
+
+
+def linear_rows(x: Tensor, w: Tensor) -> Tensor:
+    """Map each row of (N, D) ``x`` through (M, D) ``w``: ``x @ w.T``, shape (N, M)."""
+    if x.values.ndim != 2 or w.values.ndim != 2:
+        raise ShapeError(f"linear_rows: operands must be 2-D, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear_rows: rows of width {x.shape[1]} through a {w.shape} map")
+
+    def vjp(g):
+        _accum(x, g @ w.values)
+        _accum(w, g.T @ x.values)
+
+    return _node(x.values @ w.values.T, (x, w), vjp)
+
+
+def l2_normalize_rows(a: Tensor) -> Tensor:
+    """Scale each row of a 2-D input to unit L2 norm."""
+    if a.values.ndim != 2:
+        raise ShapeError("l2_normalize_rows: needs a 2-D input")
+    n = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
+    if np.any(n == 0.0):
+        raise DomainError("l2_normalize_rows: zero-norm row")
+    y = a.values / n
+
+    def vjp(g):
+        _accum(a, (g - y * (g * y).sum(axis=1, keepdims=True)) / n)
+
+    return _node(y, (a,), vjp)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Softmax over the last axis of a 2-D input, row by row."""
+    if a.values.ndim != 2 or a.values.shape[1] == 0:
+        raise DomainError("softmax_rows: needs a 2-D input with non-empty rows")
+    shifted = a.values - a.values.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        _accum(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
+
+    return _node(y, (a,), vjp)
+
+
+def pick_rows(a: Tensor, index) -> Tensor:
+    """Entry ``index[i]`` of row ``i`` of a 2-D input, as a 1-D tensor."""
+    index = np.asarray(index, dtype=np.int64)
+    if a.values.ndim != 2 or index.shape != (a.shape[0],):
+        raise ShapeError(f"pick_rows: one index per row of a 2-D input, got {index.shape} for {a.shape}")
+    if np.any((index < 0) | (index >= a.shape[1])):
+        raise ShapeError(f"pick_rows: index out of range {a.shape[1]}")
+    rows = np.arange(a.shape[0])
+
+    def vjp(g):
+        buf = np.zeros_like(a.values)
+        buf[rows, index] = g
+        _accum(a, buf)
+
+    return _node(a.values[rows, index], (a,), vjp)
+
+
+def gather_rows(a: Tensor, rows) -> Tensor:
+    """Rows ``rows`` of the input, in that order; repeats allowed."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if a.values.ndim == 0 or rows.ndim != 1:
+        raise ShapeError("gather_rows: needs an input with rows and a 1-D row list")
+    if np.any((rows < 0) | (rows >= a.shape[0])):
+        raise ShapeError(f"gather_rows: row out of range {a.shape[0]}")
+
+    def vjp(g):
+        buf = np.zeros_like(a.values)
+        np.add.at(buf, rows, g)
+        _accum(a, buf)
+
+    return _node(a.values[rows], (a,), vjp)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Subcommands: train-prompt, finetune, eval, ablate, export-embeddings,
 gradcheck.  Exit codes: 0 success, 1 verification failure, 2 config or
 input error, 3 IO error, 4 blob version/corruption error.  Every output
-artifact carries the config hash and seed.  ``UPRE_THREADS`` caps
-ablation parallelism.
+artifact carries the config hash and seed.  ``UPRE_THREADS`` (an integer
+>= 1, default 1) caps ablation parallelism; other values exit 2.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .pipeline import (
 )
 from .prompts import params_from_arrays, params_to_arrays
 from .rng import Rng
-from .world import build_stub, generate_world
+from .world import build_stub, generate_world, roi_features
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -395,6 +395,43 @@ def gradcheck_suite(seed: int = 0):
     pred = ad.parameter(rng.normal(4))
     target = ad.constant(rng.normal(4) + 3.0)
     checks.append(("smooth_l1", lambda p: ad.smooth_l1(p, target), [pred]))
+
+    # ops of the per-scene batched head, on small stacks of rows
+    def weighted(t, w):
+        return ad.tsum(ad.mul(t, ad.constant(w)))
+
+    w34, w36, w46 = rng.normal((3, 4)), rng.normal((3, 6)), rng.normal((4, 6))
+    w_pool = rng.normal((2, 2, 3))
+    row_checks = [
+        ("linear_rows", lambda x, mm: weighted(ad.linear_rows(x, mm), w34), [(3, 6), (4, 6)]),
+        ("l2_normalize_rows", lambda x: weighted(ad.l2_normalize_rows(x), w36), [(3, 6)]),
+        ("softmax_rows", lambda x: weighted(ad.softmax_rows(x), w36), [(3, 6)]),
+        ("pick_rows", lambda x: ad.tsum(ad.log(ad.pick_rows(ad.softmax_rows(x), [2, 0, 5]))), [(3, 6)]),
+        ("gather_rows", lambda x: weighted(ad.gather_rows(x, [2, 0, 2, 1]), w46), [(3, 6)]),
+        ("avg_pool2", lambda x: weighted(ad.avg_pool2(x), w_pool), [(2, 4, 6)]),
+    ]
+    for name, fn, shapes in row_checks:
+        checks.append((name, fn, [ad.parameter(rng.normal(shape)) for shape in shapes]))
+
+    # the per-scene detector head: a stack of boxes through ROI extraction,
+    # the trainable projection and the prompt softmax, one label per row
+    fmap_boxes = ad.parameter(rng.normal((2, 9, 9)))
+    boxes = [(0.5, 1.0, 6.0, 7.5), (2.0, 0.0, 9.0, 5.0), (1.2, 3.3, 4.8, 8.9)]
+    w_blocks = rng.normal((3, 2, 14, 14))
+    checks.append(
+        ("bilinear_resample_boxes", lambda f: weighted(roi_features(f, boxes), w_blocks), [fmap_boxes])
+    )
+    units = rng.normal((5, stub.d_emb))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    head_table = PromptTable(cats, [ad.constant(u) for u in units[:4]], ad.constant(units[4]))
+    projection = ad.parameter(stub.roi_projection.copy())
+    labels = [1, 4, 0]
+
+    def batched_head(f, proj):
+        emb = stub.roi_project(roi_features(f, boxes), projection=proj)
+        return ad.tmean(ad.neg(ad.log(ad.pick_rows(detect_prob(emb, head_table), labels))))
+
+    checks.append(("detect_head_batched", batched_head, [fmap_boxes, projection]))
     return checks
 
 

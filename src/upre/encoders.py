@@ -17,7 +17,8 @@ vector, which freezes out prompt learning entirely.
 Image path: a feature map is bilinearly resized to 21x21, average-pooled
 3x3 (stride 3) down to 7x7, mean-pooled over space, projected, normalized.
 Region blocks are 14x14, average-pooled 2x2 to 7x7, then projected the
-same way through a separate fixed map.
+same way through a separate fixed map; a stack of blocks projects in one
+pass, one embedding row per block.
 """
 
 from __future__ import annotations
@@ -169,16 +170,24 @@ class EncoderStub:
         return ad.l2_normalize(ad.matmul(ad.constant(self.image_projection), vec))
 
     def roi_project(self, block: Tensor | np.ndarray, projection: Tensor | None = None) -> Tensor:
-        """2x2 pool a (C, 14, 14) block to 7x7, mean-pool, project, normalize.
+        """2x2 pool ROI blocks to 7x7, mean-pool, project, normalize.
 
-        ``projection`` overrides the frozen map with a trainable copy
-        (detector fine-tuning); the stub itself is never mutated.
+        One (C, 14, 14) block gives a (d_emb,) embedding; an (N, C, 14, 14)
+        stack gives (N, d_emb), one row per block.  A single block runs as
+        a stack of one.  ``projection`` overrides the frozen map with a
+        trainable copy (detector fine-tuning); the stub itself is never
+        mutated.
         """
         if not isinstance(block, Tensor):
             block = ad.constant(block)
-        if block.values.ndim != 3 or block.shape[0] != self.channels or block.shape[1:] != (14, 14):
-            raise ShapeError(f"roi_project: expected ({self.channels}, 14, 14), got {block.shape}")
-        pooled = ad.tmean(ad.reshape(block, (self.channels, 7, 2, 7, 2)), (2, 4))
-        vec = ad.tmean(pooled, (1, 2))
+        single = block.values.ndim == 3
+        shape = (1, *block.shape) if single else block.shape
+        if len(shape) != 4 or shape[1] != self.channels or shape[2:] != (14, 14):
+            raise ShapeError(
+                f"roi_project: expected ({self.channels}, 14, 14) or (N, {self.channels}, 14, 14), got {block.shape}"
+            )
+        blocks = ad.reshape(block, shape) if single else block
+        vec = ad.tmean(ad.avg_pool2(blocks), (2, 3))
         proj = projection if projection is not None else ad.constant(self.roi_projection)
-        return ad.l2_normalize(ad.matmul(proj, vec))
+        emb = ad.l2_normalize_rows(ad.linear_rows(vec, proj))
+        return ad.reshape(emb, (self.d_emb,)) if single else emb

@@ -2,8 +2,10 @@
 
 Classification heads are softmaxes over cosine similarities between a
 proposal embedding and a table of prompt embeddings, with a shared
-temperature.  The foreground head excludes the background entry from its
-denominator; the detection and background heads include it.
+temperature.  Each head takes one embedding or a stack of them, one
+probability row per embedding.  The foreground head excludes the
+background entry from its denominator; the detection and background heads
+include it.
 
 Image-level terms, each a batch mean:
 
@@ -79,16 +81,26 @@ class PromptTable:
 
 
 def _sim_softmax(e: Tensor, entries: Sequence[Tensor], temperature: float) -> Tensor:
+    """Softmax over the cosine similarities of each embedding with each entry.
+
+    ``e`` is one (d,) embedding, giving (K,) probabilities, or an (N, d)
+    stack, giving (N, K), one row per embedding.  A single embedding runs as
+    a stack of one.
+    """
     if len(entries) == 0:
         raise InputError("empty embedding table")
     if temperature <= 0.0:
         raise ConfigError("softmax temperature must be positive")
-    sims = [ad.cosine_similarity(e, t) for t in entries]
-    return ad.softmax(ad.scale(ad.stack(sims), 1.0 / temperature))
+    single = e.values.ndim == 1
+    rows = ad.reshape(e, (1, e.shape[0])) if single else e
+    table = ad.l2_normalize_rows(ad.stack(list(entries)))
+    sims = ad.linear_rows(ad.l2_normalize_rows(rows), table)
+    probs = ad.softmax_rows(ad.scale(sims, 1.0 / temperature))
+    return ad.reshape(probs, (len(entries),)) if single else probs
 
 
 def detect_prob(e_p: Tensor, table: PromptTable, temperature: float = 1.0) -> Tensor:
-    """Probabilities over categories + background."""
+    """Probabilities over categories + background, per embedding row."""
     return _sim_softmax(e_p, table.full(), temperature)
 
 

@@ -15,6 +15,15 @@ enhancement with probability ``enhance_prob`` per scene.
 Evaluation samples unseen scenes from a chosen domain, never invokes the
 enhancement (checked through its invocation counter), classifies
 proposals against that domain's prompt table, and scores AP50/mAP.
+
+Stage 2 and evaluation batch the detector head per scene: ROI extraction,
+projection and the prompt softmax each run once on the stack of the
+scene's proposals, one row per proposal.  Batches stop at the scene, so
+memory does not grow with the number of eval scenes.  Stage 1 still
+scores its proposals one at a time.
+
+Ablation rows run on ``UPRE_THREADS`` worker threads (an integer >= 1,
+default 1); any other value is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -334,13 +343,14 @@ def apply_deltas(prop_box, deltas, width: float, height: float):
     pw, ph = px2 - px1, py2 - py1
     cx = (px1 + px2) / 2 + float(deltas[0]) * pw
     cy = (py1 + py2) / 2 + float(deltas[1]) * ph
-    # clamp the log-scale terms so decoded boxes stay finite and in-extent
-    w = pw * math.exp(float(np.clip(deltas[2], -2.0, 2.0)))
-    h = ph * math.exp(float(np.clip(deltas[3], -2.0, 2.0)))
-    x1 = float(np.clip(cx - w / 2, 0.0, width - 1.0))
-    y1 = float(np.clip(cy - h / 2, 0.0, height - 1.0))
-    x2 = float(np.clip(cx + w / 2, x1 + 1.0, width))
-    y2 = float(np.clip(cy + h / 2, y1 + 1.0, height))
+    # clamp the log-scale terms so decoded boxes stay finite and in-extent;
+    # builtin clamps, since every lower bound here is at most its upper bound
+    w = pw * math.exp(min(max(float(deltas[2]), -2.0), 2.0))
+    h = ph * math.exp(min(max(float(deltas[3]), -2.0), 2.0))
+    x1 = float(min(max(cx - w / 2, 0.0), width - 1.0))
+    y1 = float(min(max(cy - h / 2, 0.0), height - 1.0))
+    x2 = float(min(max(cx + w / 2, x1 + 1.0), width))
+    y2 = float(min(max(cy + h / 2, y1 + 1.0), height))
     return (x1, y1, x2, y2)
 
 
@@ -386,8 +396,11 @@ def stage2_finetune(
     for it in range(cfg.stage2.iters):
         opt.set_lr(_lr_at(cfg.stage2, it))
         enh_rng = _scene_rng(cfg.seed, "s2_enhance", it)
-        cls_terms: list[Tensor] = []
-        reg_terms: list[Tensor] = []
+        probs_parts: list[Tensor] = []
+        emb_parts: list[Tensor] = []
+        labels: list[int] = []
+        pos_rows: list[int] = []
+        reg_targets: list[np.ndarray] = []
         for k in range(cfg.batch_size):
             scene = sample_scene(world, world.config.source_domain, _scene_rng(cfg.seed, "s2_scene", it, k))
             feats = scene.features
@@ -402,27 +415,29 @@ def stage2_finetune(
                 world.config.iou_pos_threshold,
                 world.config.proposal_jitter,
             )
+            # one head pass over all of the scene's proposals
+            emb = stub.roi_project(roi_features(feats, props), projection=head.roi_projection)
+            emb_parts.append(emb)
+            probs_parts.append(detect_prob(emb, table, cfg.softmax_temperature))
             for prop in props:
-                e_p = stub.roi_project(roi_features(feats, prop.box), projection=head.roi_projection)
-                probs = detect_prob(e_p, table, cfg.softmax_temperature)
                 if prop.polarity == "positive":
-                    idx = table.index_of(prop.matched_category)
-                    pred = ad.matmul(head.w_reg, e_p)
-                    target = ad.constant(box_deltas(prop.box, prop.matched_box))
-                    reg_terms.append(ad.smooth_l1(pred, target))
+                    pos_rows.append(len(labels))
+                    reg_targets.append(box_deltas(prop.box, prop.matched_box))
+                    labels.append(table.index_of(prop.matched_category))
                 else:
-                    idx = table.background_index
-                cls_terms.append(ad.neg(ad.log(ad.pick(probs, idx))))
-        cls = ad.tmean(ad.stack(cls_terms)) if cls_terms else None
-        reg = ad.tmean(ad.stack(reg_terms)) if reg_terms else None
-        if cls is None and reg is None:
-            continue
-        total = cls if reg is None else (reg if cls is None else ad.add(cls, ad.scale(reg, cfg.reg_weight)))
+                    labels.append(table.background_index)
+        # means over every proposal of the batch, and over every positive's four deltas
+        cls = ad.tmean(ad.neg(ad.log(ad.pick_rows(ad.concat_rows(probs_parts), labels))))
+        reg = None
+        if pos_rows:
+            pred = ad.linear_rows(ad.gather_rows(ad.concat_rows(emb_parts), pos_rows), head.w_reg)
+            reg = ad.smooth_l1(pred, ad.constant(np.array(reg_targets)))
+        total = cls if reg is None else ad.add(cls, ad.scale(reg, cfg.reg_weight))
         total.backward()
         opt.step()
         for p in head.params():
             p.grad = None
-        history["classification"].append(cls.item() if cls is not None else 0.0)
+        history["classification"].append(cls.item())
         history["regression"].append(reg.item() if reg is not None else 0.0)
         history["total"].append(total.item())
 
@@ -449,6 +464,47 @@ def stage2_finetune(
     return head, report
 
 
+def eval_detections(
+    head: DetectorHead | None,
+    table: PromptTable,
+    world: DomainWorld,
+    target_domain: str,
+    cfg: TrainConfig,
+    stub: EncoderStub,
+) -> tuple[list[Prediction], list[GroundTruth]]:
+    """Top-category detections and ground truth on the eval scenes of ``target_domain``.
+
+    Each scene's proposals go through ROI extraction, projection and the
+    head as one stack.  Forward only: the head's arrays enter as constants.
+    """
+    width, height = world.config.width, world.config.height
+    projection = ad.constant(head.roi_projection.values) if head is not None else None
+    predictions: list[Prediction] = []
+    ground_truth: list[GroundTruth] = []
+    for i in range(cfg.eval_scenes):
+        scene = sample_scene(world, target_domain, _scene_rng(world.seed, "eval_scene", target_domain, i))
+        props = propose(
+            scene,
+            _scene_rng(world.seed, "eval_prop", target_domain, i),
+            cfg.eval_proposals,
+            world.config.iou_pos_threshold,
+            world.config.proposal_jitter,
+        )
+        emb = stub.roi_project(roi_features(scene.features, props), projection=projection)
+        probs = detect_prob(emb, table, cfg.softmax_temperature).values
+        fg = probs[:, :-1].argmax(axis=1)
+        scores = probs[np.arange(len(props)), fg].tolist()
+        boxes = [p.box for p in props]
+        if head is not None:
+            deltas = (emb.values @ head.w_reg.values.T).tolist()
+            boxes = [apply_deltas(b, d, width, height) for b, d in zip(boxes, deltas)]
+        predictions += [
+            Prediction(i, world.categories[c], s, b) for c, s, b in zip(fg.tolist(), scores, boxes)
+        ]
+        ground_truth.extend(GroundTruth(i, o.category, o.box) for o in scene.objects)
+    return predictions, ground_truth
+
+
 def zero_shot_eval(
     head: DetectorHead | None,
     pparams: PromptParams,
@@ -465,31 +521,7 @@ def zero_shot_eval(
     stub = stub or build_stub(world.config)
     counter_before = eparams.apply_count
     table = build_prompt_table(pparams, stub, world, target_domain, frozen=True)
-    width, height = world.config.width, world.config.height
-    predictions: list[Prediction] = []
-    ground_truth: list[GroundTruth] = []
-    for i in range(cfg.eval_scenes):
-        scene = sample_scene(world, target_domain, _scene_rng(world.seed, "eval_scene", target_domain, i))
-        props = propose(
-            scene,
-            _scene_rng(world.seed, "eval_prop", target_domain, i),
-            cfg.eval_proposals,
-            world.config.iou_pos_threshold,
-            world.config.proposal_jitter,
-        )
-        for prop in props:
-            e_p = stub.roi_project(
-                roi_features(scene.features, prop.box),
-                projection=head.roi_projection if head is not None else None,
-            )
-            probs = detect_prob(e_p, table, cfg.softmax_temperature).values
-            fg = int(np.argmax(probs[:-1]))
-            box = prop.box
-            if head is not None:
-                deltas = head.w_reg.values @ e_p.values
-                box = apply_deltas(prop.box, deltas, width, height)
-            predictions.append(Prediction(i, world.categories[fg], float(probs[fg]), box))
-        ground_truth.extend(GroundTruth(i, o.category, o.box) for o in scene.objects)
+    predictions, ground_truth = eval_detections(head, table, world, target_domain, cfg, stub)
     per_cat, mean_ap = evaluate_ap50(predictions, ground_truth, 0.5)
     ure_invocations = eparams.apply_count - counter_before
     if ure_invocations != 0:
@@ -660,9 +692,22 @@ def _run_one(args) -> AblationResult:
     return AblationResult(row.row_id, seed, {d: result.map_for(d) for d in eval_domains}, val_mad)
 
 
+def ablation_threads() -> int:
+    """Worker threads for ``run_ablation``: ``UPRE_THREADS``, an integer >= 1, default 1."""
+    raw = os.environ.get("UPRE_THREADS") or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"UPRE_THREADS must be an integer >= 1, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"UPRE_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
+
+
 def run_ablation(spec: AblationSpec) -> list[AblationResult]:
     """One run per (row, seed); parallelism capped by UPRE_THREADS."""
     spec.validate()
+    threads = ablation_threads()
     from .world import generate_world
 
     world = generate_world(spec.base.world, spec.base.world_seed)
@@ -672,7 +717,6 @@ def run_ablation(spec: AblationSpec) -> list[AblationResult]:
         for row in spec.rows
         for seed in spec.seeds
     ]
-    threads = int(os.environ.get("UPRE_THREADS", "1") or "1")
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_one, jobs))

@@ -15,8 +15,9 @@ image embeddings displaced toward the embedding of the domain's textual
 description.  The source domain keeps the identity field.
 
 Also here: the proposal sampler (jittered ground-truth boxes plus random
-boxes, labeled by IoU), ROI feature extraction, and AP50/mAP/MAD metrics
-with all-points precision-recall interpolation.
+boxes, labeled by IoU), ROI feature extraction for one box or a stack of
+boxes, and AP50/mAP/MAD metrics with all-points precision-recall
+interpolation.
 """
 
 from __future__ import annotations
@@ -218,10 +219,12 @@ def iou(box_a, box_b) -> float:
 
 
 def _clip_box(x1, y1, x2, y2, w, h, min_side=2.0):
-    x1 = float(np.clip(x1, 0.0, w - min_side))
-    y1 = float(np.clip(y1, 0.0, h - min_side))
-    x2 = float(np.clip(x2, x1 + min_side, w))
-    y2 = float(np.clip(y2, y1 + min_side, h))
+    # builtin clamps, since lo <= hi in each: np.clip is slow on Python scalars
+    w, h = float(w), float(h)
+    x1 = min(max(float(x1), 0.0), w - min_side)
+    y1 = min(max(float(y1), 0.0), h - min_side)
+    x2 = min(max(float(x2), x1 + min_side), w)
+    y2 = min(max(float(y2), y1 + min_side), h)
     return x1, y1, x2, y2
 
 
@@ -268,22 +271,44 @@ def propose(scene: Scene, rng: Rng, count: int, iou_pos_threshold: float = 0.5, 
     return proposals
 
 
-def roi_features(features: Tensor | Scene, box) -> Tensor:
-    """Bilinear resample of the boxed region to a (C, 14, 14) block."""
-    if isinstance(features, Scene):
-        features = features.features
+# one sample per bin at the bin center, in bins from the box edge
+_ROI_BIN_CENTERS = np.arange(14) + 0.5
+
+
+def _box_rows(box) -> tuple[np.ndarray, bool]:
+    """Boxes as an (N, 4) float array, and whether ``box`` was a single box."""
     if hasattr(box, "box"):
         box = box.box
+    arr = np.asarray([getattr(b, "box", b) for b in box], dtype=np.float64)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[None]
+    if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] == 0:
+        raise InputError(f"roi_features: expected a box or a non-empty list of boxes, got shape {arr.shape}")
+    return arr, single
+
+
+def roi_features(features: Tensor | Scene, box) -> Tensor:
+    """Bilinear resample of boxed regions to (C, 14, 14) blocks.
+
+    ``box`` is one box (a 4-tuple or anything with a ``.box``), giving one
+    (C, 14, 14) block, or a sequence or (N, 4) array of them, giving an
+    (N, C, 14, 14) stack.  A single box runs as a stack of one.
+    """
+    if isinstance(features, Scene):
+        features = features.features
+    boxes, single = _box_rows(box)
     _, h, w = features.shape
-    x1, y1, x2, y2 = box
-    if x2 <= x1 or y2 <= y1:
-        raise InputError("degenerate box")
-    if x1 < 0 or y1 < 0 or x2 > w or y2 > h:
-        raise InputError(f"box {box} outside feature extent ({w}x{h})")
-    # one sample per bin at the bin center
-    sy = y1 + (np.arange(14) + 0.5) * (y2 - y1) / 14.0 - 0.5
-    sx = x1 + (np.arange(14) + 0.5) * (x2 - x1) / 14.0 - 0.5
-    return ad.bilinear_resample(features, sy, sx)
+    x1, y1, x2, y2 = boxes.T
+    degenerate = (x2 <= x1) | (y2 <= y1)
+    if degenerate.any():
+        raise InputError(f"degenerate box {tuple(boxes[degenerate.argmax()])}")
+    outside = (x1 < 0) | (y1 < 0) | (x2 > w) | (y2 > h)
+    if outside.any():
+        raise InputError(f"box {tuple(boxes[outside.argmax()])} outside feature extent ({w}x{h})")
+    sy = y1[:, None] + _ROI_BIN_CENTERS * (y2 - y1)[:, None] / 14.0 - 0.5
+    sx = x1[:, None] + _ROI_BIN_CENTERS * (x2 - x1)[:, None] / 14.0 - 0.5
+    return ad.bilinear_resample(features, sy[0] if single else sy, sx[0] if single else sx)
 
 
 @dataclass
@@ -323,13 +348,15 @@ def evaluate_ap50(predictions: list[Prediction], ground_truth: list[GroundTruth]
         if not preds:
             per_cat[cat] = 0.0
             continue
+        # candidates per scene, in input order, so ties still go to the first GT
+        by_scene: dict[int, list[tuple[int, GroundTruth]]] = {}
+        for gi, g in enumerate(gts):
+            by_scene.setdefault(g.scene_id, []).append((gi, g))
         matched: set[int] = set()
         tp = np.zeros(len(preds))
         for pi, pred in enumerate(preds):
             best_iou, best_gi = 0.0, -1
-            for gi, g in enumerate(gts):
-                if g.scene_id != pred.scene_id:
-                    continue
+            for gi, g in by_scene.get(pred.scene_id, ()):
                 v = iou(pred.box, g.box)
                 if v > best_iou:
                     best_iou, best_gi = v, gi

@@ -238,3 +238,73 @@ def test_rng_split_streams_differ():
     sa = base.split("a").uniform(6)
     sb = base.split("b").uniform(6)
     assert not np.array_equal(sa, sb)
+
+
+def _box_coords(rng, n, size=9.0):
+    """(n, 5) row and column sample coordinates inside a size x size map."""
+    lo = rng.uniform(2 * n).reshape(n, 2) * (size - 3.0)
+    hi = lo + 1.0 + rng.uniform(2 * n).reshape(n, 2) * 2.0
+    t = np.linspace(0.0, 1.0, 5)
+    return lo[:, :1] + t * (hi[:, :1] - lo[:, :1]), lo[:, 1:] + t * (hi[:, 1:] - lo[:, 1:])
+
+
+def test_stacked_bilinear_resample_matches_single_grids():
+    rng = Rng(90)
+    img = ad.parameter(rng.normal((3, 9, 9)))
+    sy, sx = _box_coords(rng, 4)
+    stack = ad.bilinear_resample(img, sy, sx)
+    assert stack.shape == (4, 3, 5, 5)
+    singles = [ad.bilinear_resample(img, sy[n], sx[n]) for n in range(4)]
+    for n, single in enumerate(singles):
+        assert single.shape == (3, 5, 5)
+        assert stack.values[n].tobytes() == single.values.tobytes()
+    w = rng.normal((4, 3, 5, 5))
+    ad.tsum(ad.mul(stack, ad.constant(w))).backward()
+    batched_grad = img.grad.copy()
+    img.grad = None
+    for n in range(4):
+        ad.tsum(ad.mul(ad.bilinear_resample(img, sy[n], sx[n]), ad.constant(w[n]))).backward()
+    assert np.allclose(batched_grad, img.grad, rtol=0.0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        ad.bilinear_resample(img, sy, sx[:3])
+
+
+def test_avg_pool2_matches_mean_over_pooled_axes():
+    rng = Rng(91)
+    x = rng.normal((2, 3, 14, 14)) * 1e3
+    pooled = ad.avg_pool2(ad.constant(x)).values
+    assert pooled.tobytes() == x.reshape(2, 3, 7, 2, 7, 2).mean(axis=(3, 5)).tobytes()
+    with pytest.raises(ShapeError):
+        ad.avg_pool2(ad.constant(np.zeros((2, 3, 5))))
+
+
+def test_row_ops_match_their_one_row_forms():
+    rng = Rng(92)
+    x = rng.normal((4, 6))
+    w = rng.normal((5, 6))
+    lin = ad.linear_rows(ad.constant(x), ad.constant(w)).values
+    assert np.allclose(lin, np.stack([w @ row for row in x]), rtol=0.0, atol=1e-12)
+    norm = ad.l2_normalize_rows(ad.constant(x)).values
+    soft = ad.softmax_rows(ad.constant(x)).values
+    for n, row in enumerate(x):
+        assert np.allclose(norm[n], ad.l2_normalize(ad.constant(row)).values, rtol=0.0, atol=1e-15)
+        assert np.allclose(soft[n], ad.softmax(ad.constant(row)).values, rtol=0.0, atol=1e-15)
+    picked = ad.pick_rows(ad.constant(x), [5, 0, 2, 2]).values
+    assert picked.tolist() == [x[0, 5], x[1, 0], x[2, 2], x[3, 2]]
+    assert ad.gather_rows(ad.constant(x), [3, 1, 3]).values.tolist() == x[[3, 1, 3]].tolist()
+
+
+def test_row_ops_reject_bad_input():
+    x = ad.constant(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        ad.linear_rows(x, ad.constant(np.ones((2, 5))))
+    with pytest.raises(ShapeError):
+        ad.pick_rows(x, [0, 1])
+    with pytest.raises(ShapeError):
+        ad.pick_rows(x, [0, 1, 4])
+    with pytest.raises(ShapeError):
+        ad.gather_rows(x, [3])
+    with pytest.raises(DomainError):
+        ad.l2_normalize_rows(ad.constant(np.array([[1.0, 0.0], [0.0, 0.0]])))
+    with pytest.raises(DomainError):
+        ad.softmax_rows(ad.constant(np.ones(3)))

@@ -261,3 +261,14 @@ def test_losses_csv_embeds_hash_and_seed(tmp_path):
     assert first[2] == "seed" and first[3] == "0"
     report = read_report(out / "report.json")
     assert report["cli_config_hash"] == first[1]
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_ablate_bad_upre_threads_exits_2(tmp_path, monkeypatch, capsys, value):
+    spec = {"base": TINY_CONFIG, "seeds": [0], "rows": [{"id": "full", "overrides": {}}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    monkeypatch.setenv("UPRE_THREADS", value)
+    assert cli.main(["ablate", "--spec", str(spec_path), "--out", str(tmp_path / "ablate")]) == 2
+    assert "UPRE_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "ablate").exists()

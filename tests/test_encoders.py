@@ -143,3 +143,20 @@ def test_image_encode_gradient_flows(stub):
     res = ad.grad_check(lambda t: ad.tsum(ad.mul(small.image_encode(t), ad.constant(w2))), [fmap2])
     assert res.passed, res.max_rel_error
     assert fn(fmap).item() == pytest.approx(fn(fmap).item())
+
+
+def test_roi_project_stack_matches_single_blocks(stub):
+    rng = Rng(12)
+    blocks = rng.normal((5, 16, 14, 14))
+    projection = ad.parameter(stub.roi_projection * 1.1)
+    for proj in (None, projection):
+        stack = stub.roi_project(blocks, projection=proj)
+        assert stack.shape == (5, stub.d_emb)
+        for n in range(5):
+            single = stub.roi_project(blocks[n], projection=proj)
+            assert single.shape == (stub.d_emb,)
+            assert np.allclose(stack.values[n], single.values, rtol=0.0, atol=1e-15)
+    with pytest.raises(ShapeError):
+        stub.roi_project(rng.normal((5, 16, 7, 7)))
+    with pytest.raises(ShapeError):
+        stub.roi_project(rng.normal((2, 5, 16, 14, 14)))

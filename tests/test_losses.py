@@ -278,3 +278,17 @@ def test_pns_batch_validates_labels_and_norms():
         ls.PnsBatch([random_unit(rng)], ["missing"], [], table)
     with pytest.raises(InputError):
         ls.PnsBatch([ad.constant([3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])], ["cat0"], [], table)
+
+
+def test_heads_take_a_stack_of_embeddings():
+    rng = Rng(14)
+    table = make_table(rng, 5)
+    rows = np.stack([random_unit(rng).values * (1.0 + i) for i in range(4)])
+    for head, width in ((ls.detect_prob, 6), (ls.positive_prob, 5), (ls.negative_prob, 6)):
+        stack = head(ad.constant(rows), table, 0.7).values
+        assert stack.shape == (4, width)
+        assert np.allclose(stack.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        for n in range(4):
+            single = head(ad.constant(rows[n]), table, 0.7).values
+            assert single.shape == (width,)
+            assert np.allclose(stack[n], single, rtol=0.0, atol=1e-15)

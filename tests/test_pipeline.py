@@ -274,3 +274,183 @@ def test_alternating_schedule_swaps_groups(world, stub):
     ref = init_prompt_params(cfg2.context_length, 32, derive_seed(cfg2.seed, "prompt_init"), cfg2.prompt_mode)
     assert pparams2.u.values.tobytes() == ref.u.values.tobytes()
     assert pparams2.v.values.tobytes() == ref.v.values.tobytes()
+
+
+# --------------------------------------------- per-scene batched head ---
+
+
+def _stage2_per_proposal(cfg, pparams, eparams, world, stub):
+    """Reference stage 2: one ROI, projection and head call per proposal.
+
+    Same scenes, proposals and optimizer as ``stage2_finetune``; returns the
+    loss history and the trained head.
+    """
+    from upre import autodiff as ad
+    from upre.autodiff import SgdMomentum
+    from upre.enhancement import maybe_enhance
+    from upre.losses import detect_prob
+    from upre.pipeline import DetectorHead, _frozen_enhancer, _lr_at, _scene_rng
+    from upre.rng import Rng, derive_seed
+    from upre.world import propose, roi_features, sample_scene
+
+    table = build_prompt_table(pparams, stub, world, cfg.target_domain, frozen=True)
+    frozen_enh = _frozen_enhancer(eparams)
+    head = DetectorHead(
+        w_reg=ad.parameter(Rng(derive_seed(cfg.seed, "reg_head")).normal((4, stub.d_emb)) * 0.3),
+        roi_projection=ad.parameter(stub.roi_projection.copy()),
+    )
+    opt = SgdMomentum(head.params(), cfg.stage2.lr, cfg.optimizer.momentum, cfg.optimizer.weight_decay)
+    history = {"classification": [], "regression": [], "total": []}
+    for it in range(cfg.stage2.iters):
+        opt.set_lr(_lr_at(cfg.stage2, it))
+        enh_rng = _scene_rng(cfg.seed, "s2_enhance", it)
+        cls_terms, reg_terms = [], []
+        for k in range(cfg.batch_size):
+            scene = sample_scene(world, world.config.source_domain, _scene_rng(cfg.seed, "s2_scene", it, k))
+            feats = scene.features
+            if cfg.toggles.enhance_on:
+                feats, _ = maybe_enhance(feats, frozen_enh, cfg.stage2.enhance_prob, enh_rng)
+            props = propose(
+                scene,
+                _scene_rng(cfg.seed, "s2_prop", it, k),
+                cfg.stage2_proposals,
+                world.config.iou_pos_threshold,
+                world.config.proposal_jitter,
+            )
+            for prop in props:
+                e_p = stub.roi_project(roi_features(feats, prop.box), projection=head.roi_projection)
+                probs = detect_prob(e_p, table, cfg.softmax_temperature)
+                if prop.polarity == "positive":
+                    idx = table.index_of(prop.matched_category)
+                    pred = ad.matmul(head.w_reg, e_p)
+                    reg_terms.append(ad.smooth_l1(pred, ad.constant(box_deltas(prop.box, prop.matched_box))))
+                else:
+                    idx = table.background_index
+                cls_terms.append(ad.neg(ad.log(ad.pick(probs, idx))))
+        cls = ad.tmean(ad.stack(cls_terms))
+        reg = ad.tmean(ad.stack(reg_terms)) if reg_terms else None
+        total = cls if reg is None else ad.add(cls, ad.scale(reg, cfg.reg_weight))
+        total.backward()
+        opt.step()
+        history["classification"].append(cls.item())
+        history["regression"].append(reg.item() if reg is not None else 0.0)
+        history["total"].append(total.item())
+    return history, head
+
+
+def _eval_per_proposal(head, table, world, domain, cfg, stub):
+    """Reference eval detections: one ROI, projection and head call per proposal."""
+    from upre.losses import detect_prob
+    from upre.pipeline import _scene_rng
+    from upre.world import GroundTruth, Prediction, propose, roi_features, sample_scene
+
+    wc = world.config
+    predictions, ground_truth = [], []
+    for i in range(cfg.eval_scenes):
+        scene = sample_scene(world, domain, _scene_rng(world.seed, "eval_scene", domain, i))
+        props = propose(
+            scene, _scene_rng(world.seed, "eval_prop", domain, i), cfg.eval_proposals,
+            wc.iou_pos_threshold, wc.proposal_jitter,
+        )
+        for prop in props:
+            e_p = stub.roi_project(roi_features(scene.features, prop.box), projection=head.roi_projection)
+            probs = detect_prob(e_p, table, cfg.softmax_temperature).values
+            fg = int(np.argmax(probs[:-1]))
+            box = apply_deltas(prop.box, head.w_reg.values @ e_p.values, wc.width, wc.height)
+            predictions.append(Prediction(i, world.categories[fg], float(probs[fg]), box))
+        ground_truth.extend(GroundTruth(i, o.category, o.box) for o in scene.objects)
+    return predictions, ground_truth
+
+
+def test_batched_stage2_matches_per_proposal_loop(world, stub):
+    cfg = dataclasses.replace(TINY, batch_size=2, stage2_proposals=6)
+    pparams, eparams, _ = stage1_train(cfg, world, stub)
+    head, rep = stage2_finetune(cfg, pparams, eparams, world, stub)
+    ref_history, ref_head = _stage2_per_proposal(cfg, pparams, eparams, world, stub)
+    for name in ("classification", "regression", "total"):
+        got, want = rep.loss_history[name], ref_history[name]
+        assert len(got) == len(want) == cfg.stage2.iters
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, name
+    assert any(v > 0.0 for v in ref_history["regression"])
+    for got, want in zip(head.params(), ref_head.params()):
+        assert np.abs(got.values - want.values).max() <= 1e-12
+
+
+def test_batched_eval_matches_per_proposal_loop(world, stub):
+    from upre.pipeline import eval_detections
+    from upre.world import evaluate_ap50
+
+    cfg = dataclasses.replace(TINY, eval_scenes=12, eval_proposals=16)
+    pparams, eparams, _ = stage1_train(cfg, world, stub)
+    head, _ = stage2_finetune(cfg, pparams, eparams, world, stub)
+    for domain in ("night_rainy", "daytime_foggy"):
+        table = build_prompt_table(pparams, stub, world, domain, frozen=True)
+        preds, truth = eval_detections(head, table, world, domain, cfg, stub)
+        ref_preds, ref_truth = _eval_per_proposal(head, table, world, domain, cfg, stub)
+        assert truth == ref_truth
+        assert len(preds) == len(ref_preds) == cfg.eval_scenes * cfg.eval_proposals
+        for p, r in zip(preds, ref_preds):
+            assert (p.scene_id, p.category) == (r.scene_id, r.category)
+            assert abs(p.score - r.score) <= 1e-12
+            assert max(abs(a - b) for a, b in zip(p.box, r.box)) <= 1e-12
+        assert evaluate_ap50(preds, truth) == evaluate_ap50(ref_preds, ref_truth)
+        report = zero_shot_eval(head, pparams, eparams, world, domain, cfg, stub)
+        assert report.metrics["map"] == evaluate_ap50(ref_preds, ref_truth)[1]
+
+
+def _apply_deltas_np_clip(prop_box, deltas, width, height):
+    """``apply_deltas`` with numpy clamps, as a reference for the builtin ones."""
+    import math
+
+    px1, py1, px2, py2 = prop_box
+    pw, ph = px2 - px1, py2 - py1
+    cx = (px1 + px2) / 2 + float(deltas[0]) * pw
+    cy = (py1 + py2) / 2 + float(deltas[1]) * ph
+    w = pw * math.exp(float(np.clip(deltas[2], -2.0, 2.0)))
+    h = ph * math.exp(float(np.clip(deltas[3], -2.0, 2.0)))
+    x1 = float(np.clip(cx - w / 2, 0.0, width - 1.0))
+    y1 = float(np.clip(cy - h / 2, 0.0, height - 1.0))
+    x2 = float(np.clip(cx + w / 2, x1 + 1.0, width))
+    y2 = float(np.clip(cy + h / 2, y1 + 1.0, height))
+    return (x1, y1, x2, y2)
+
+
+def test_apply_deltas_clamps_match_np_clip():
+    from upre.rng import Rng
+
+    rng = Rng(31)
+    cases = []
+    for _ in range(500):
+        x1, y1 = (rng.uniform(2) * 24.0).tolist()
+        bw, bh = (2.0 + rng.uniform(2) * 10.0).tolist()
+        cases.append(((x1, y1, x1 + bw, y1 + bh), rng.normal(4) * 1.5))
+    box = (4.0, 5.0, 12.0, 15.0)
+    # each clamp active on its own: log scales past +-2, centers past every edge
+    for deltas in ([0, 0, 3.0, 0], [0, 0, -3.0, 0], [0, 0, 0, 2.5], [0, 0, 0, -2.5],
+                   [-5.0, 0, 0, 0], [5.0, 0, 0, 0], [0, -5.0, 0, 0], [0, 5.0, 0, 0],
+                   [-5.0, -5.0, 2.0, 2.0], [5.0, 5.0, -2.0, -2.0], [0, 0, 2.0, -2.0]):
+        cases.append((box, np.array(deltas, dtype=np.float64)))
+    cases.append(((0.0, 0.0, 28.0, 28.0), np.array([0.0, 0.0, 1.0, 1.0])))
+    for prop, deltas in cases:
+        for d in (deltas, deltas.tolist()):
+            assert apply_deltas(prop, d, 28, 28) == _apply_deltas_np_clip(prop, d, 28, 28)
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+def test_upre_threads_rejects_non_positive_integers(value, monkeypatch):
+    from upre.pipeline import ablation_threads
+
+    monkeypatch.setenv("UPRE_THREADS", value)
+    with pytest.raises(ConfigError, match="UPRE_THREADS"):
+        ablation_threads()
+
+
+def test_upre_threads_values(monkeypatch):
+    from upre.pipeline import ablation_threads
+
+    monkeypatch.delenv("UPRE_THREADS", raising=False)
+    assert ablation_threads() == 1
+    monkeypatch.setenv("UPRE_THREADS", "")
+    assert ablation_threads() == 1
+    monkeypatch.setenv("UPRE_THREADS", "3")
+    assert ablation_threads() == 3

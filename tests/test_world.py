@@ -228,3 +228,98 @@ def test_world_serialization_roundtrip(world, tmp_path):
     corrupted.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(VersionError):
         load_world(corrupted)
+
+
+def _clip_box_np(x1, y1, x2, y2, w, h, min_side=2.0):
+    """``_clip_box`` with numpy clamps, as a reference for the builtin ones."""
+    x1 = float(np.clip(x1, 0.0, w - min_side))
+    y1 = float(np.clip(y1, 0.0, h - min_side))
+    x2 = float(np.clip(x2, x1 + min_side, w))
+    y2 = float(np.clip(y2, y1 + min_side, h))
+    return x1, y1, x2, y2
+
+
+def test_clip_box_matches_np_clip():
+    from upre.world import _clip_box
+
+    rng = Rng(21)
+    cases = [tuple((rng.uniform(4) * 40.0 - 6.0).tolist()) for _ in range(1000)]
+    cases += [tuple(rng.normal(4) * 30.0) for _ in range(200)]  # numpy scalars, as propose passes them
+    # each edge clamped on its own, and a box squeezed to the minimum side
+    cases += [
+        (-3.0, 5.0, 10.0, 12.0), (27.5, 5.0, 30.0, 12.0), (4.0, -1.0, 10.0, 12.0), (4.0, 27.0, 10.0, 29.0),
+        (4.0, 5.0, 4.5, 12.0), (4.0, 5.0, 31.0, 12.0), (4.0, 5.0, 10.0, 5.5), (4.0, 5.0, 10.0, 40.0),
+        (26.0, 26.0, 26.0, 26.0), (0.0, 0.0, 28.0, 28.0), (-9.0, -9.0, -8.0, -8.0),
+    ]
+    for box in cases:
+        assert _clip_box(*box, 28, 28) == _clip_box_np(*box, 28, 28)
+        assert _clip_box(*box, 28, 28, 3.0) == _clip_box_np(*box, 28, 28, 3.0)
+
+
+def test_roi_features_stack_matches_single_boxes(world):
+    scene = sample_scene(world, "night_clear", Rng(12))
+    props = propose(scene, Rng(13), 9)
+    stack = roi_features(scene, props)
+    assert stack.shape == (9, 16, 14, 14)
+    for n, prop in enumerate(props):
+        assert stack.values[n].tobytes() == roi_features(scene, prop.box).values.tobytes()
+    boxes = np.array([p.box for p in props])
+    assert roi_features(scene.features, boxes).values.tobytes() == stack.values.tobytes()
+    assert roi_features(scene, [p.box for p in props]).values.tobytes() == stack.values.tobytes()
+    assert roi_features(scene, props[0]).shape == (16, 14, 14)
+    with pytest.raises(InputError):
+        roi_features(scene, [props[0].box, (2.0, 2.0, 30.0, 8.0)])
+    with pytest.raises(InputError):
+        roi_features(scene, [props[0].box, (5.0, 2.0, 5.0, 8.0)])
+    with pytest.raises(InputError):
+        roi_features(scene, [])
+
+
+class _CountingTruth(GroundTruth):
+    """Ground truth that counts reads of its ``scene_id``."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name == "scene_id":
+            type(self).reads += 1
+        return super().__getattribute__(name)
+
+
+def test_evaluate_ap50_compares_only_same_scene_ground_truth(monkeypatch):
+    import upre.world as world_mod
+
+    rng = Rng(17)
+    cats = ("car", "bus")
+    gts, preds = [], []
+    for scene_id in range(30):
+        for _ in range(3):
+            x, y = (rng.uniform(2) * 18.0).tolist()
+            gts.append(_CountingTruth(scene_id, cats[rng.choice(2)], (x, y, x + 8.0, y + 8.0)))
+        for _ in range(5):
+            x, y = (rng.uniform(2) * 18.0).tolist()
+            preds.append(Prediction(scene_id, cats[rng.choice(2)], float(rng.uniform(1)[0]), (x, y, x + 8.0, y + 8.0)))
+    bound = sum(
+        sum(1 for g in gts if g.scene_id == p.scene_id and g.category == p.category) for p in preds
+    )
+    assert bound < len(preds) * len(gts) / 20
+    calls = []
+    real_iou = world_mod.iou
+
+    def counting_iou(a, b):
+        calls.append(1)
+        return real_iou(a, b)
+
+    monkeypatch.setattr(world_mod, "iou", counting_iou)
+    _CountingTruth.reads = 0
+    per, mean = evaluate_ap50(preds, gts)
+    assert len(calls) <= bound
+    # each ground truth is filed under its scene once, not rescanned per prediction
+    assert _CountingTruth.reads <= len(gts)
+    monkeypatch.setattr(world_mod, "iou", real_iou)
+    oper, omean = oracle_ap(preds, gts)
+    assert abs(mean - omean) < 1e-12
+    # equal IoU with two ground truths: the first in input order is matched
+    twins = [GroundTruth(0, "car", (0.0, 0.0, 4.0, 4.0)), GroundTruth(0, "car", (0.0, 0.0, 4.0, 4.0))]
+    per, _ = evaluate_ap50([Prediction(0, "car", 0.9, (0.0, 0.0, 4.0, 4.0)), Prediction(0, "car", 0.8, (0.0, 0.0, 4.0, 4.0))], twins)
+    assert per["car"] == 0.5
