@@ -11,10 +11,11 @@ resample) needed by the feature pipelines.  Everything downstream is a
 composition of these.
 
 The row ops (``linear_rows``, ``l2_normalize_rows``, ``softmax_rows``,
-``pick_rows``, ``gather_rows``), ``avg_pool2`` and the stacked form of
-``bilinear_resample`` treat the leading axis as a batch of independent
-rows, so a whole scene's proposals go through the detector head as one
-node per op instead of one per proposal.
+``pick_rows``, ``gather_rows``), ``avg_pool2``, ``tsum`` and ``tmean``
+over given axes, and the stacked form of ``bilinear_resample`` treat the
+leading axis as a batch of independent rows, so a whole scene's
+proposals go through the detector head as one node per op instead of
+one per proposal.
 
 Gradient conventions: the L1 subgradient at a tie is 0, relu's subgradient
 at 0 is 0.  ``grad_check`` compares analytic gradients against central
@@ -225,11 +226,19 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.asarray(a.values @ b.values), (a, b), vjp)
 
 
-def tsum(a: Tensor) -> Tensor:
-    def vjp(g):
-        _accum(a, np.full_like(a.values, float(g)))
+def tsum(a: Tensor, axes=None) -> Tensor:
+    if axes is None:
 
-    return _node(np.asarray(a.values.sum()), (a,), vjp)
+        def vjp(g):
+            _accum(a, np.full_like(a.values, float(g)))
+
+        return _node(np.asarray(a.values.sum()), (a,), vjp)
+    axes = (axes,) if isinstance(axes, int) else tuple(axes)
+
+    def vjp_axes(g):
+        _accum(a, np.broadcast_to(np.expand_dims(g, axes), a.shape))
+
+    return _node(a.values.sum(axis=axes), (a,), vjp_axes)
 
 
 def tmean(a: Tensor, axes=None) -> Tensor:

@@ -24,9 +24,12 @@ from .encoders import EncoderConfig, EncoderStub
 from .enhancement import enhance, init_enhance_params
 from .errors import ConfigError, InputError, StateError, VersionError
 from .losses import (
+    BG_VARIANTS,
+    PnsBatch,
     PromptTable,
     RddBatch,
     detect_prob,
+    instance_objective,
     loss_align,
     loss_background,
     loss_positive,
@@ -432,6 +435,22 @@ def gradcheck_suite(seed: int = 0):
         return ad.tmean(ad.neg(ad.log(ad.pick_rows(detect_prob(emb, head_table), labels))))
 
     checks.append(("detect_head_batched", batched_head, [fmap_boxes, projection]))
+
+    # the stacked instance objective: a stack of labeled positives and a
+    # stack of negatives, one head call per polarity
+    pos_raw, neg_raw = ad.parameter(rng.normal((3, 8))), ad.parameter(rng.normal((2, 8)))
+    pns_labels = ["c", "a", "c"]
+    pns_cases = [(v, "bg_and_c", v) for v in BG_VARIANTS] + [("ce", "ce", "hinge_positive_diff")]
+    for case, pns_variant, bg_variant in pns_cases:
+        checks.append(
+            (
+                f"instance_objective[{case}]",
+                lambda p, n, *tr, pv=pns_variant, bv=bg_variant: instance_objective(
+                    PnsBatch(ad.l2_normalize_rows(p), pns_labels, ad.l2_normalize_rows(n), table_of(tr)), pv, bv
+                ),
+                [pos_raw, neg_raw, *table_raw],
+            )
+        )
     return checks
 
 

@@ -22,6 +22,12 @@ for negatives one of four schemes over the uniform target
                         only entries above the uniform level)
     detpro_binary      binary CE against the background indicator
     detpro_uniform_fg  uniform CE over foreground-only probabilities
+
+The instance-level losses work on stacks: ``loss_positive`` and
+``loss_background`` take (N, K) probabilities, one row per proposal (a
+(K,) vector, or a list of them, runs as a stack), and ``PnsBatch`` holds
+each polarity's embeddings as one (N, d) stack, so ``instance_objective``
+makes at most one head call per polarity.
 """
 
 from __future__ import annotations
@@ -188,69 +194,99 @@ def _as_list(x):
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
+def _prob_rows(probs) -> Tensor:
+    """Probabilities as an (N, K) stack.
+
+    ``probs`` is an (N, K) stack, one (K,) vector, or a list of them; a
+    single vector runs as a stack of one.
+    """
+    if isinstance(probs, (list, tuple)):
+        return ad.stack(list(probs))
+    if probs.values.ndim == 1:
+        return ad.reshape(probs, (1, probs.shape[0]))
+    return probs
+
+
 def loss_positive(probs, true_category, categories: Sequence[str]) -> Tensor:
-    """Mean -log P at the true category over foreground-only probabilities."""
-    probs_list = _as_list(probs)
+    """Mean -log P at the true category over foreground-only probabilities, one row each."""
+    rows = _prob_rows(probs)
     cats = _as_list(true_category)
-    if len(probs_list) != len(cats):
+    if rows.shape[0] != len(cats):
         raise ShapeError("loss_positive: one label per probability vector")
     categories = list(categories)
-    terms = []
-    for p, c in zip(probs_list, cats):
+    for c in cats:
         if c not in categories:
             raise InputError(f"category {c!r} not in category set")
-        terms.append(ad.neg(ad.log(ad.pick(p, categories.index(c)))))
-    return _batch_mean(terms)
-
-
-def _bg_term(p: Tensor, y_bg: float, variant: str, background_index: int) -> Tensor:
-    if variant == "eq12_uniform_ce":
-        return ad.scale(ad.tsum(ad.log(p)), -y_bg)
-    if variant == "hinge_positive_diff":
-        return ad.tsum(ad.relu(ad.add_scalar(p, -y_bg)))
-    if variant == "detpro_binary":
-        # binary CE with indicator target at the background entry
-        total = ad.neg(ad.log(ad.pick(p, background_index)))
-        for i in range(p.shape[0]):
-            if i != background_index:
-                total = ad.add(total, ad.neg(ad.log(ad.add_scalar(ad.neg(ad.pick(p, i)), 1.0))))
-        return total
-    if variant == "detpro_uniform_fg":
-        # expects foreground-only probabilities of the negative embedding
-        return ad.scale(ad.tsum(ad.log(p)), -1.0 / p.shape[0])
-    raise ConfigError(f"unknown background loss variant {variant!r}")
+    picked = ad.pick_rows(rows, [categories.index(c) for c in cats])
+    return ad.tmean(ad.neg(ad.log(picked)))
 
 
 def loss_background(probs, y_bg: float, variant: str = "hinge_positive_diff", background_index: int | None = None) -> Tensor:
-    """Mean background-proposal loss under the chosen scheme."""
+    """Mean background-proposal loss under the chosen scheme, one row per proposal."""
     if variant not in BG_VARIANTS:
         raise ConfigError(f"unknown background loss variant {variant!r}")
-    probs_list = _as_list(probs)
-    terms = []
-    for p in probs_list:
-        bg_idx = background_index if background_index is not None else p.shape[0] - 1
-        terms.append(_bg_term(p, float(y_bg), variant, bg_idx))
-    return _batch_mean(terms)
+    p = _prob_rows(probs)
+    if variant == "eq12_uniform_ce":
+        per_row = ad.scale(ad.tsum(ad.log(p), 1), -y_bg)
+    elif variant == "hinge_positive_diff":
+        per_row = ad.tsum(ad.relu(ad.add_scalar(p, -y_bg)), 1)
+    elif variant == "detpro_binary":
+        # binary CE against the background indicator: the mask keeps P at the
+        # background column and 1 - P everywhere else
+        bg = background_index if background_index is not None else p.shape[1] - 1
+        if not 0 <= bg < p.shape[1]:
+            raise ShapeError(f"loss_background: background index {bg} out of range {p.shape[1]}")
+        mask = np.zeros(p.shape)
+        mask[:, bg] = 1.0
+        complement = ad.add_scalar(ad.neg(p), 1.0)
+        target = ad.add(ad.mul(p, ad.constant(mask)), ad.mul(complement, ad.constant(1.0 - mask)))
+        per_row = ad.neg(ad.tsum(ad.log(target), 1))
+    else:
+        # detpro_uniform_fg expects foreground-only probabilities of the negatives
+        per_row = ad.scale(ad.tsum(ad.log(p), 1), -1.0 / p.shape[1])
+    return ad.tmean(per_row)
+
+
+def _embedding_rows(embeddings, d: int, what: str) -> Tensor:
+    """Embeddings as an (N, d) stack; a list of (d,) tensors is stacked, an empty one gives (0, d)."""
+    if not isinstance(embeddings, Tensor):
+        embeddings = ad.stack(list(embeddings)) if len(embeddings) else ad.constant(np.zeros((0, d)))
+    if embeddings.values.ndim != 2:
+        raise ShapeError(f"PnsBatch: {what}s must be an (N, d) stack, got shape {embeddings.shape}")
+    return embeddings
+
+
+def _check_unit_rows(t: Tensor, what: str) -> None:
+    norms = np.sqrt((t.values * t.values).sum(axis=1))
+    bad = np.abs(norms - 1.0) > UNIT_NORM_TOL
+    if bad.any():
+        raise InputError(f"{what} must be unit-norm, got ||.|| = {float(norms[bad.argmax()])!r}")
 
 
 @dataclass
 class PnsBatch:
-    """Instance-level batch: labeled positive embeddings, negative embeddings, a prompt table."""
+    """Instance-level batch: labeled positive embeddings, negative embeddings, a prompt table.
 
-    pos_embeddings: list[Tensor]
+    Embeddings are (N, d) stacks, one row per proposal.  A list of (d,)
+    tensors is stacked once when the batch is built.
+    """
+
+    pos_embeddings: Tensor
     pos_labels: list[str]
-    neg_embeddings: list[Tensor]
+    neg_embeddings: Tensor
     prompt_table: PromptTable
     validate: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        if len(self.pos_embeddings) != len(self.pos_labels):
+        d = self.prompt_table.background.shape[0]
+        self.pos_embeddings = _embedding_rows(self.pos_embeddings, d, "positive embedding")
+        self.neg_embeddings = _embedding_rows(self.neg_embeddings, d, "negative embedding")
+        self.pos_labels = list(self.pos_labels)
+        if self.pos_embeddings.shape[0] != len(self.pos_labels):
             raise ShapeError("PnsBatch: one label per positive embedding")
         if self.validate:
-            for e in self.pos_embeddings:
-                _check_unit(e, "positive embedding")
-            for e in self.neg_embeddings:
-                _check_unit(e, "negative embedding")
+            _check_unit_rows(self.pos_embeddings, "positive embedding")
+            _check_unit_rows(self.neg_embeddings, "negative embedding")
         for c in self.pos_labels:
             self.prompt_table.index_of(c)
 
@@ -260,28 +296,33 @@ class PnsBatch:
 
 
 def instance_objective(batch: PnsBatch, pns_variant: str = "bg_and_c", bg_variant: str = "hinge_positive_diff", temperature: float = 1.0) -> Tensor | None:
-    """Compose the instance-level objective for one batch; None when it has no term."""
+    """Compose the instance-level objective for one batch; None when it has no term.
+
+    Each polarity goes through its head as one stack.
+    """
     if pns_variant not in PNS_VARIANTS:
         raise ConfigError(f"unknown instance objective variant {pns_variant!r}")
     table = batch.prompt_table
-    parts: list[Tensor] = []
     if pns_variant == "ce":
-        # vanilla detection cross-entropy over categories + background
-        items = [(e, table.index_of(c)) for e, c in zip(batch.pos_embeddings, batch.pos_labels)]
-        items += [(e, table.background_index) for e in batch.neg_embeddings]
-        if not items:
+        # vanilla detection cross-entropy over categories + background,
+        # positives then negatives in one head call
+        labels = [table.index_of(c) for c in batch.pos_labels]
+        labels += [table.background_index] * batch.neg_embeddings.shape[0]
+        if not labels:
             return None
-        terms = [ad.neg(ad.log(ad.pick(detect_prob(e, table, temperature), idx))) for e, idx in items]
-        return _batch_mean(terms)
-    if pns_variant in ("bg_and_c", "c_only") and batch.pos_embeddings:
-        probs = [positive_prob(e, table, temperature) for e in batch.pos_embeddings]
+        rows = ad.concat_rows([batch.pos_embeddings, batch.neg_embeddings])
+        probs = detect_prob(rows, table, temperature)
+        return ad.tmean(ad.neg(ad.log(ad.pick_rows(probs, labels))))
+    parts: list[Tensor] = []
+    if pns_variant in ("bg_and_c", "c_only") and batch.pos_labels:
+        probs = positive_prob(batch.pos_embeddings, table, temperature)
         parts.append(loss_positive(probs, batch.pos_labels, table.categories))
-    if pns_variant in ("bg_and_c", "bg_only") and batch.neg_embeddings:
+    if pns_variant in ("bg_and_c", "bg_only") and batch.neg_embeddings.shape[0]:
         if bg_variant == "detpro_uniform_fg":
-            probs = [positive_prob(e, table, temperature) for e in batch.neg_embeddings]
+            probs = positive_prob(batch.neg_embeddings, table, temperature)
             parts.append(loss_background(probs, batch.y_bg, bg_variant))
         else:
-            probs = [negative_prob(e, table, temperature) for e in batch.neg_embeddings]
+            probs = negative_prob(batch.neg_embeddings, table, temperature)
             parts.append(loss_background(probs, batch.y_bg, bg_variant, table.background_index))
     if not parts:
         return None

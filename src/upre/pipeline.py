@@ -19,8 +19,10 @@ proposals against that domain's prompt table, and scores AP50/mAP.
 Stage 2 and evaluation batch the detector head per scene: ROI extraction,
 projection and the prompt softmax each run once on the stack of the
 scene's proposals, one row per proposal.  Batches stop at the scene, so
-memory does not grow with the number of eval scenes.  Stage 1 still
-scores its proposals one at a time.
+memory does not grow with the number of eval scenes.  Stage 1 batches ROI
+extraction and projection per scene the same way, then splits the rows
+by polarity and runs the positive-negative separation heads once per
+polarity over the whole step.
 
 Ablation rows run on ``UPRE_THREADS`` worker threads (an integer >= 1,
 default 1); any other value is a ``ConfigError``.
@@ -195,18 +197,20 @@ def _stage1_terms(
             [encode_prompt(stub, pset.positives[c]) for c in world.categories],
             encode_prompt(stub, pset.negative),
         )
-        pos_e, pos_y, neg_e = [], [], []
+        # one ROI and projection pass per scene; rows split by polarity and
+        # concatenated over scenes in scene and proposal order
+        pos_parts, pos_y, neg_parts = [], [], []
         for scene, feats, rng in zip(scenes, enhanced, prop_rngs):
-            for prop in propose(
+            props = propose(
                 scene, rng, cfg.pns_proposals, world.config.iou_pos_threshold, world.config.proposal_jitter
-            ):
-                e_p = stub.roi_project(roi_features(feats, prop.box))
-                if prop.polarity == "positive":
-                    pos_e.append(e_p)
-                    pos_y.append(prop.matched_category)
-                else:
-                    neg_e.append(e_p)
-        batch = PnsBatch(pos_e, pos_y, neg_e, table)
+            )
+            emb = stub.roi_project(roi_features(feats, props))
+            pos_rows = [i for i, p in enumerate(props) if p.polarity == "positive"]
+            neg_rows = [i for i, p in enumerate(props) if p.polarity != "positive"]
+            pos_parts.append(ad.gather_rows(emb, pos_rows))
+            pos_y += [props[i].matched_category for i in pos_rows]
+            neg_parts.append(ad.gather_rows(emb, neg_rows))
+        batch = PnsBatch(ad.concat_rows(pos_parts), pos_y, ad.concat_rows(neg_parts), table)
         counters["pns_batches"] = counters.get("pns_batches", 0) + 1
         obj = instance_objective(batch, cfg.pns_variant, cfg.bg_variant, cfg.softmax_temperature)
         if obj is not None:

@@ -272,3 +272,15 @@ def test_ablate_bad_upre_threads_exits_2(tmp_path, monkeypatch, capsys, value):
     assert cli.main(["ablate", "--spec", str(spec_path), "--out", str(tmp_path / "ablate")]) == 2
     assert "UPRE_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "ablate").exists()
+
+
+def test_eval_on_a_corrupt_blob_directory_exits_4(tmp_path, capsys):
+    import struct
+
+    from upre.checkpoint import FORMAT_VERSION, MAGIC
+
+    header = json.dumps({"kind": "model", "arrays": [{"name": "w_reg", "shape": [3], "offset": 0, "bytes": 4}]})
+    blob = tmp_path / "model.upre"
+    blob.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header.encode("utf-8") + b"\0" * 4)
+    assert cli.main(["eval", "--model", str(blob), "--domain", "night_rainy"]) == 4
+    assert "w_reg" in capsys.readouterr().err

@@ -112,3 +112,43 @@ def test_blob_rejects_garbage_and_versions(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(VersionError):
         load_blob(truncated)
+
+
+def _blob_with_directory(path, directory, payload: bytes = b"\0" * 24):
+    """A blob whose header carries ``directory`` as its array directory verbatim."""
+    import struct
+
+    header = json.dumps({"kind": "model", "arrays": directory}).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header + payload)
+    return path
+
+
+@pytest.mark.parametrize(
+    "directory,match",
+    [
+        # shape disagrees with the byte count
+        ([{"name": "a", "shape": [3], "offset": 0, "bytes": 16}], "'a'"),
+        # byte count not a multiple of 8
+        ([{"name": "a", "shape": [1], "offset": 0, "bytes": 4}], "'a'"),
+        # missing offset
+        ([{"name": "a", "shape": [2], "bytes": 16}], "'a'"),
+        # the directory is not a list
+        ({"name": "a", "shape": [2], "offset": 0, "bytes": 16}, "not a list"),
+        # negative offset, an offset past the payload, a negative dimension
+        ([{"name": "a", "shape": [2], "offset": -8, "bytes": 16}], "'a'"),
+        ([{"name": "a", "shape": [2], "offset": 16, "bytes": 16}], "'a'"),
+        ([{"name": "a", "shape": [-2], "offset": 0, "bytes": 16}], "'a'"),
+        ([["a", [2], 0, 16]], "entry"),
+    ],
+)
+def test_blob_rejects_corrupt_array_directory(tmp_path, directory, match):
+    path = _blob_with_directory(tmp_path / "corrupt.upre", directory)
+    with pytest.raises(VersionError, match=match):
+        load_blob(path)
+
+
+def test_blob_directory_check_accepts_a_valid_directory(tmp_path):
+    directory = [{"name": "a", "shape": [2], "offset": 0, "bytes": 16}, {"name": "b", "shape": [], "offset": 16, "bytes": 8}]
+    payload = np.array([1.0, 2.0, 3.0], dtype="<f8").tobytes()
+    _, arrays = load_blob(_blob_with_directory(tmp_path / "ok.upre", directory, payload))
+    assert arrays["a"].tolist() == [1.0, 2.0] and arrays["b"].shape == () and float(arrays["b"]) == 3.0

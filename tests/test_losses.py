@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from upre import autodiff as ad
 from upre import losses as ls
-from upre.errors import ConfigError, InputError
+from upre.errors import ConfigError, InputError, ShapeError
 from upre.rng import Rng
+
+import pns_reference
 
 
 def unit(v) -> ad.Tensor:
@@ -292,3 +294,116 @@ def test_heads_take_a_stack_of_embeddings():
             single = head(ad.constant(rows[n]), table, 0.7).values
             assert single.shape == (width,)
             assert np.allclose(stack[n], single, rtol=0.0, atol=1e-15)
+
+
+# ------------------------------------------------ stacked PNS losses ---
+
+
+def _prob_stack(rng: Rng, n: int, k: int) -> np.ndarray:
+    z = np.exp(rng.normal((n, k)))
+    return z / z.sum(axis=1, keepdims=True)
+
+
+def test_loss_positive_stack_matches_list():
+    rng = Rng(15)
+    cats = ("a", "b", "c", "d")
+    rows = _prob_stack(rng, 5, 4)
+    labels = ["b", "a", "d", "b", "c"]
+    stack = ls.loss_positive(ad.constant(rows), labels, cats).item()
+    listed = ls.loss_positive([ad.constant(r) for r in rows], labels, cats).item()
+    want = np.mean([-math.log(r[cats.index(c)]) for r, c in zip(rows, labels)])
+    assert stack == listed
+    assert stack == pytest.approx(want, rel=0.0, abs=1e-14)
+    with pytest.raises(ShapeError):
+        ls.loss_positive(ad.constant(rows), labels[:4], cats)
+
+
+@pytest.mark.parametrize("variant", ls.BG_VARIANTS)
+def test_loss_background_stack_matches_list(variant):
+    rng = Rng(16)
+    rows = _prob_stack(rng, 6, 5)
+    y_bg = 1 / 5
+    stack = ls.loss_background(ad.constant(rows), y_bg, variant, 4).item()
+    listed = ls.loss_background([ad.constant(r) for r in rows], y_bg, variant, 4).item()
+    want = np.mean([pns_reference.background_term(ad.constant(r), y_bg, variant, 4).item() for r in rows])
+    assert stack == listed
+    assert stack == pytest.approx(want, rel=0.0, abs=1e-14)
+    # one vector runs as a stack of one
+    one = ls.loss_background(ad.constant(rows[2]), y_bg, variant, 4).item()
+    assert one == pytest.approx(pns_reference.background_term(ad.constant(rows[2]), y_bg, variant, 4).item(), abs=1e-15)
+    if variant == "detpro_binary":
+        for bad in (5, -1):
+            with pytest.raises(ShapeError):
+                ls.loss_background(ad.constant(rows), y_bg, variant, bad)
+
+
+@pytest.mark.parametrize("n_pos,n_neg", [(3, 4), (0, 4), (3, 0), (1, 1)])
+@pytest.mark.parametrize(
+    "pns_variant,bg_variant",
+    [("bg_and_c", v) for v in ls.BG_VARIANTS] + [("ce", "hinge_positive_diff"), ("c_only", "hinge_positive_diff"), ("bg_only", "detpro_binary")],
+)
+def test_instance_objective_stack_matches_list_and_per_entry(n_pos, n_neg, pns_variant, bg_variant):
+    rng = Rng(17)
+    table = make_table(rng, 4)
+    pos = [random_unit(rng) for _ in range(n_pos)]
+    neg = [random_unit(rng) for _ in range(n_neg)]
+    labels = [f"cat{i % 4}" for i in range(n_pos)]
+
+    def stacked(rows):
+        return ad.constant(np.stack([e.values for e in rows])) if rows else []
+
+    listed = ls.instance_objective(ls.PnsBatch(pos, labels, neg, table), pns_variant, bg_variant, 0.8)
+    stack = ls.instance_objective(ls.PnsBatch(stacked(pos), labels, stacked(neg), table), pns_variant, bg_variant, 0.8)
+    ref = pns_reference.instance_objective(pos, labels, neg, table, pns_variant, bg_variant, 0.8)
+    if ref is None:
+        assert listed is None and stack is None
+        return
+    assert listed.item() == stack.item()
+    assert listed.item() == pytest.approx(ref.item(), rel=0.0, abs=1e-13)
+
+
+def test_instance_objective_gradients_match_per_entry():
+    rng = Rng(18)
+    cats = tuple("abcd")
+    pos = ad.parameter(rng.normal((3, 8)))
+    neg = ad.parameter(rng.normal((2, 8)))
+    for pns_variant, bg_variant in [("bg_and_c", v) for v in ls.BG_VARIANTS] + [("ce", "hinge_positive_diff")]:
+        table_raw = [ad.parameter(rng.normal(8)) for _ in range(5)]
+        labels = ["c", "a", "c"]
+        grads = []
+        for build in ("stack", "per_entry"):
+            for t in [pos, neg, *table_raw]:
+                t.zero_grad()
+            table = ls.PromptTable(cats, [ad.l2_normalize(t) for t in table_raw[:4]], ad.l2_normalize(table_raw[4]))
+            if build == "stack":
+                batch = ls.PnsBatch(ad.l2_normalize_rows(pos), labels, ad.l2_normalize_rows(neg), table)
+                out = ls.instance_objective(batch, pns_variant, bg_variant)
+            else:
+                pos_e = [ad.l2_normalize(ad.gather_rows(pos, [i])) for i in range(3)]
+                pos_e = [ad.reshape(e, (8,)) for e in pos_e]
+                neg_e = [ad.reshape(ad.l2_normalize(ad.gather_rows(neg, [i])), (8,)) for i in range(2)]
+                out = pns_reference.instance_objective(pos_e, labels, neg_e, table, pns_variant, bg_variant)
+            out.backward()
+            # detpro_uniform_fg never reaches the background entry
+            grads.append([np.zeros(8) if t.grad is None else t.grad.copy() for t in [pos, neg, *table_raw]])
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-13, (pns_variant, bg_variant)
+
+
+def test_pns_batch_rejects_a_non_unit_row_in_a_stack():
+    rng = Rng(19)
+    table = make_table(rng, 3)
+    rows = np.stack([random_unit(rng).values for _ in range(4)])
+    ls.PnsBatch(ad.constant(rows[:2]), ["cat0", "cat1"], ad.constant(rows[2:]), table)
+    bad = rows.copy()
+    bad[3] *= 1.0 + 1e-4
+    with pytest.raises(InputError, match="negative embedding"):
+        ls.PnsBatch(ad.constant(bad[:2]), ["cat0", "cat1"], ad.constant(bad[2:]), table)
+    with pytest.raises(InputError, match="positive embedding"):
+        ls.PnsBatch(ad.constant(bad[2:]), ["cat0", "cat1"], [], table)
+    # within the tolerance
+    ok = rows.copy()
+    ok[0] *= 1.0 + 1e-7
+    ls.PnsBatch(ad.constant(ok), ["cat0", "cat1", "cat2", "cat0"], [], table)
+    with pytest.raises(ShapeError):
+        ls.PnsBatch(ad.constant(rows), ["cat0"], [], table)

@@ -276,6 +276,91 @@ def test_alternating_schedule_swaps_groups(world, stub):
     assert pparams2.v.values.tobytes() == ref.v.values.tobytes()
 
 
+# ------------------------------------- batched stage-1 separation ---
+
+
+def _stage1_terms_per_proposal(cfg, world, stub, pparams, eparams, pset, scenes, prop_rngs, counters):
+    """Reference ``_stage1_terms``: one ROI, projection and head graph per proposal.
+
+    Same terms as ``pipeline._stage1_terms``; the instance-level objective
+    comes from the per-entry reference in ``pns_reference``.
+    """
+    from upre.enhancement import enhance
+    from upre.losses import RDD_LOSSES, PromptTable, RddBatch
+    from upre.prompts import encode_prompt
+    from upre.world import propose, roi_features
+
+    import pns_reference
+
+    terms = {}
+    tg = cfg.toggles
+    enhanced = [enhance(s.features, eparams) if tg.enhance_on else s.features for s in scenes]
+    if tg.img_level_on:
+        e_s = [stub.image_encode(s.features) for s in scenes]
+        e_st = [stub.image_encode(f) for f in enhanced]
+        t_s = encode_prompt(stub, pset.image_source)
+        t_t = encode_prompt(stub, pset.image_target)
+        batch = RddBatch(e_s, e_st, t_s, t_t)
+        for term in cfg.rdd_mask:
+            terms[term] = RDD_LOSSES[term](batch)
+    if tg.ins_level_on:
+        table = PromptTable(
+            tuple(world.categories),
+            [encode_prompt(stub, pset.positives[c]) for c in world.categories],
+            encode_prompt(stub, pset.negative),
+        )
+        pos_e, pos_y, neg_e = [], [], []
+        for scene, feats, rng in zip(scenes, enhanced, prop_rngs):
+            for prop in propose(
+                scene, rng, cfg.pns_proposals, world.config.iou_pos_threshold, world.config.proposal_jitter
+            ):
+                e_p = stub.roi_project(roi_features(feats, prop.box))
+                if prop.polarity == "positive":
+                    pos_e.append(e_p)
+                    pos_y.append(prop.matched_category)
+                else:
+                    neg_e.append(e_p)
+        counters["pns_batches"] = counters.get("pns_batches", 0) + 1
+        obj = pns_reference.instance_objective(
+            pos_e, pos_y, neg_e, table, cfg.pns_variant, cfg.bg_variant, cfg.softmax_temperature
+        )
+        if obj is not None:
+            terms["instance"] = obj
+    return terms
+
+
+# the default pair plus every pns_variant and bg_variant of the pns and
+# neglabel ablation presets
+_STAGE1_VARIANTS = sorted(
+    {("bg_and_c", "hinge_positive_diff")}
+    | {(r.overrides["pns_variant"], "hinge_positive_diff") for r in PRESET_ROWS["pns"]}
+    | {("bg_and_c", r.overrides["bg_variant"]) for r in PRESET_ROWS["neglabel"]}
+)
+
+
+@pytest.mark.parametrize("pns_variant,bg_variant", _STAGE1_VARIANTS)
+def test_batched_stage1_matches_per_proposal_loop(pns_variant, bg_variant, world, stub, monkeypatch):
+    from upre import pipeline
+
+    cfg = dataclasses.replace(TINY, batch_size=2, pns_variant=pns_variant, bg_variant=bg_variant)
+    runs = []
+    for terms_fn in (pipeline._stage1_terms, _stage1_terms_per_proposal):
+        monkeypatch.setattr(pipeline, "_stage1_terms", terms_fn)
+        runs.append(stage1_train(cfg, world, stub))
+    (pp, ep, rep), (ref_pp, ref_ep, ref_rep) = runs
+    assert "instance" in rep.loss_history
+    for got, want in ((rep.loss_history, ref_rep.loss_history), (rep.val_history, ref_rep.val_history)):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert len(got[name]) == len(want[name])
+            assert max(abs(a - b) for a, b in zip(got[name], want[name])) <= 1e-12, name
+    arrays = [t.values for t in pp.unique_tensors()] + [ep.e_mu.values, ep.e_sigma.values]
+    ref_arrays = [t.values for t in ref_pp.unique_tensors()] + [ref_ep.e_mu.values, ref_ep.e_sigma.values]
+    for got, want in zip(arrays, ref_arrays):
+        assert np.abs(got - want).max() <= 1e-12
+    assert rep.counters["pns_batches"] == ref_rep.counters["pns_batches"] == cfg.stage1.iters
+
+
 # --------------------------------------------- per-scene batched head ---
 
 
