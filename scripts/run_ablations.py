@@ -3,9 +3,7 @@
 
 Presets: rdd, pns, schedule, prompt, enhance, neglabel, modules.
 Each grid shares one world; rows vary one axis of the training config.
-UPRE_THREADS sets how many runs go at once: an integer of 1 or more,
-1 when unset; any other value stops the script with a ConfigError before
-any run starts.
+Runs go one at a time, row by row and seed by seed.
 
 Usage: python scripts/run_ablations.py --presets rdd,pns --seeds 0,1,2 --out results/
 """

@@ -2,13 +2,14 @@
 
 A :class:`Tensor` wraps a float64 array plus an optional gradient.  Ops
 build a DAG; calling :meth:`Tensor.backward` on a scalar walks it in
-reverse topological order and accumulates gradients into every tensor
-with ``requires_grad``.  The op set is deliberately closed: arithmetic,
-matmul, reductions, log/relu, softmax, cosine similarity, L1 distance,
-L2 normalization, smooth-L1, plus the structural ops (concat, stack,
-reshape, pick, gather) and two sampling ops (patch broadcast, bilinear
-resample) needed by the feature pipelines.  Everything downstream is a
-composition of these.
+reverse topological order and accumulates gradients into every leaf
+tensor with ``requires_grad``.  Op outputs, the root included, drop
+their gradient once it has been passed to their inputs.  The op set is
+deliberately closed: arithmetic, matmul, reductions, log/relu, softmax,
+cosine similarity, L1 distance, L2 normalization, smooth-L1, plus the
+structural ops (concat, stack, reshape, pick, gather) and two sampling
+ops (patch broadcast, bilinear resample) needed by the feature
+pipelines.  Everything downstream is a composition of these.
 
 The row ops (``linear_rows``, ``l2_normalize_rows``, ``softmax_rows``,
 ``pick_rows``, ``gather_rows``), ``avg_pool2``, ``tsum`` and ``tmean``
@@ -83,6 +84,8 @@ class Tensor:
         for node in reversed(order):
             if node._vjp is not None and node.grad is not None:
                 node._vjp(node.grad)
+                # a later backward through this node must not add to a stale gradient
+                node.grad = None
 
     # Operator sugar for tests and small compositions.
     def __add__(self, other):

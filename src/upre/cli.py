@@ -3,8 +3,8 @@
 Subcommands: train-prompt, finetune, eval, ablate, export-embeddings,
 gradcheck.  Exit codes: 0 success, 1 verification failure, 2 config or
 input error, 3 IO error, 4 blob version/corruption error.  Every output
-artifact carries the config hash and seed.  ``UPRE_THREADS`` (an integer
->= 1, default 1) caps ablation parallelism; other values exit 2.
+artifact carries the config hash and seed.  ``ablate`` runs its
+(row, seed) cells one after another.
 """
 
 from __future__ import annotations

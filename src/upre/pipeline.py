@@ -24,16 +24,13 @@ extraction and projection per scene the same way, then splits the rows
 by polarity and runs the positive-negative separation heads once per
 polarity over the whole step.
 
-Ablation rows run on ``UPRE_THREADS`` worker threads (an integer >= 1,
-default 1); any other value is a ``ConfigError``.
+Ablation runs go one at a time, in (row, seed) order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -144,15 +141,19 @@ def build_prompt_set(params: PromptParams, stub: EncoderStub, world: DomainWorld
     )
 
 
-def build_prompt_table(params: PromptParams, stub: EncoderStub, world: DomainWorld, domain: str, frozen: bool = False) -> PromptTable:
-    """Per-category positive prompt embeddings plus the background prompt embedding."""
-    pset = build_prompt_set(params, stub, world, domain)
-    embeddings = [encode_prompt(stub, pset.positives[c]) for c in world.categories]
+def prompt_table(pset: PromptSet, stub: EncoderStub, categories, frozen: bool = False) -> PromptTable:
+    """Encode each category's positive prompt, then the background prompt."""
+    embeddings = [encode_prompt(stub, pset.positives[c]) for c in categories]
     background = encode_prompt(stub, pset.negative)
     if frozen:
         embeddings = [e.detach() for e in embeddings]
         background = background.detach()
-    return PromptTable(tuple(world.categories), embeddings, background)
+    return PromptTable(tuple(categories), embeddings, background)
+
+
+def build_prompt_table(params: PromptParams, stub: EncoderStub, world: DomainWorld, domain: str, frozen: bool = False) -> PromptTable:
+    """Per-category positive prompt embeddings plus the background prompt embedding."""
+    return prompt_table(build_prompt_set(params, stub, world, domain), stub, world.categories, frozen)
 
 
 def _lr_at(stage, it: int) -> float:
@@ -192,11 +193,7 @@ def _stage1_terms(
         for term in cfg.rdd_mask:
             terms[term] = RDD_LOSSES[term](batch)
     if tg.ins_level_on:
-        table = PromptTable(
-            tuple(world.categories),
-            [encode_prompt(stub, pset.positives[c]) for c in world.categories],
-            encode_prompt(stub, pset.negative),
-        )
+        table = prompt_table(pset, stub, world.categories)
         # one ROI and projection pass per scene; rows split by polarity and
         # concatenated over scenes in scene and proposal order
         pos_parts, pos_y, neg_parts = [], [], []
@@ -312,8 +309,6 @@ def stage1_train(
                 for name, term in vterms.items():
                     record(val_history, name, term.item())
                 record(val_history, "total", _weighted_total(cfg, vterms).item())
-                for p in all_params:
-                    p.grad = None
 
     report = RunReport(
         kind="stage1",
@@ -439,8 +434,6 @@ def stage2_finetune(
         total = cls if reg is None else ad.add(cls, ad.scale(reg, cfg.reg_weight))
         total.backward()
         opt.step()
-        for p in head.params():
-            p.grad = None
         history["classification"].append(cls.item())
         history["regression"].append(reg.item() if reg is not None else 0.0)
         history["total"].append(total.item())
@@ -688,44 +681,20 @@ class AblationResult:
     val_mad: float | None
 
 
-def _run_one(args) -> AblationResult:
-    base, row, seed, world, eval_domains = args
-    cfg = _apply_overrides(dataclasses.replace(base.train, seed=seed), row.overrides)
-    result = run_full(cfg, world, eval_domains=eval_domains)
-    val_mad = result.stage1_report.mad_of_validation_loss if result.stage1_report else None
-    return AblationResult(row.row_id, seed, {d: result.map_for(d) for d in eval_domains}, val_mad)
-
-
-def ablation_threads() -> int:
-    """Worker threads for ``run_ablation``: ``UPRE_THREADS``, an integer >= 1, default 1."""
-    raw = os.environ.get("UPRE_THREADS") or "1"
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"UPRE_THREADS must be an integer >= 1, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"UPRE_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
-
-
 def run_ablation(spec: AblationSpec) -> list[AblationResult]:
-    """One run per (row, seed); parallelism capped by UPRE_THREADS."""
+    """One run per (row, seed), in that order, one after another."""
     spec.validate()
-    threads = ablation_threads()
     from .world import generate_world
 
     world = generate_world(spec.base.world, spec.base.world_seed)
     eval_domains = spec.eval_domains or (spec.base.train.target_domain,)
-    jobs = [
-        (spec.base, row, seed, world, tuple(eval_domains))
-        for row in spec.rows
-        for seed in spec.seeds
-    ]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_one, jobs))
-    else:
-        results = [_run_one(job) for job in jobs]
+    results = []
+    for row in spec.rows:
+        for seed in spec.seeds:
+            cfg = _apply_overrides(dataclasses.replace(spec.base.train, seed=seed), row.overrides)
+            result = run_full(cfg, world, eval_domains=eval_domains)
+            val_mad = result.stage1_report.mad_of_validation_loss if result.stage1_report else None
+            results.append(AblationResult(row.row_id, seed, {d: result.map_for(d) for d in eval_domains}, val_mad))
     return results
 
 

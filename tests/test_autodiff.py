@@ -222,6 +222,40 @@ def test_backward_requires_scalar():
         ad.mul(t, t).backward()
 
 
+def test_backward_through_a_shared_interior_node_does_not_double_count():
+    x = ad.parameter([1.0, 2.0])
+    y = ad.scale(x, 3.0)
+    root = ad.tsum(y)
+    root.backward()
+    assert x.grad.tolist() == [3.0, 3.0]
+    assert y.grad is None and root.grad is None
+    x.grad = None
+    ad.tsum(y).backward()
+    assert x.grad.tolist() == [3.0, 3.0]
+    assert y.grad is None
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda x: ad.mul(x, x),
+        lambda x: ad.softmax(x),
+        lambda x: ad.l2_normalize(x),
+    ],
+    ids=["mul", "softmax", "l2_normalize"],
+)
+def test_second_backward_through_an_op_output_matches_a_fresh_graph(op):
+    weights = ad.constant([0.5, -1.0, 2.0])
+    x = ad.parameter([0.3, -0.7, 1.1])
+    y = op(x)
+    ad.dot(y, weights).backward()
+    x.grad = None
+    ad.dot(y, ad.scale(weights, -2.0)).backward()
+    fresh = ad.parameter([0.3, -0.7, 1.1])
+    ad.dot(op(fresh), ad.scale(weights, -2.0)).backward()
+    assert np.array_equal(x.grad, fresh.grad)
+
+
 def test_rng_is_reproducible_and_bernoulli_consumes_one_draw():
     r1, r2 = Rng(42), Rng(42)
     assert np.array_equal(r1.normal((4, 4)), r2.normal((4, 4)))

@@ -212,6 +212,33 @@ def test_ablate_smoke(tmp_path):
     assert cli.main(["ablate", "--spec", str(spec_path), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_ablate_ignores_upre_threads(tmp_path, monkeypatch, value):
+    spec = {"base": TINY_CONFIG, "seeds": [0], "rows": [{"id": "full", "overrides": {}}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    monkeypatch.delenv("UPRE_THREADS", raising=False)
+    assert cli.main(["ablate", "--spec", str(spec_path), "--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv("UPRE_THREADS", value)
+    assert cli.main(["ablate", "--spec", str(spec_path), "--out", str(tmp_path / "set")]) == 0
+    assert (tmp_path / "set" / "ablation.csv").read_bytes() == (tmp_path / "plain" / "ablation.csv").read_bytes()
+
+
+def test_run_ablations_script_rejects_unknown_preset(tmp_path, monkeypatch):
+    import runpy
+    import sys
+
+    from upre import pipeline
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_ablations.py"
+    runs = []
+    monkeypatch.setattr(pipeline, "run_ablation", lambda spec: runs.append(spec) or [])
+    monkeypatch.setattr(sys, "argv", [str(script), "--presets", "nope", "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit, match="unknown preset 'nope'"):
+        runpy.run_path(str(script), run_name="__main__")
+    assert runs == []
+
+
 def test_gradcheck_cli_passes():
     assert cli.main(["gradcheck", "--seeds", "2"]) == 0
 
@@ -261,17 +288,6 @@ def test_losses_csv_embeds_hash_and_seed(tmp_path):
     assert first[2] == "seed" and first[3] == "0"
     report = read_report(out / "report.json")
     assert report["cli_config_hash"] == first[1]
-
-
-@pytest.mark.parametrize("value", ["two", "0"])
-def test_ablate_bad_upre_threads_exits_2(tmp_path, monkeypatch, capsys, value):
-    spec = {"base": TINY_CONFIG, "seeds": [0], "rows": [{"id": "full", "overrides": {}}]}
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec), encoding="utf-8")
-    monkeypatch.setenv("UPRE_THREADS", value)
-    assert cli.main(["ablate", "--spec", str(spec_path), "--out", str(tmp_path / "ablate")]) == 2
-    assert "UPRE_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "ablate").exists()
 
 
 def test_eval_on_a_corrupt_blob_directory_exits_4(tmp_path, capsys):

@@ -15,6 +15,7 @@ from upre.pipeline import (
     box_deltas,
     build_prompt_set,
     build_prompt_table,
+    prompt_table,
     run_ablation,
     run_full,
     stage1_train,
@@ -161,6 +162,29 @@ def test_prompt_table_structure(world, stub):
     assert pset.image_source.context is pset.image_target.context
 
 
+@pytest.mark.parametrize("frozen", [False, True])
+def test_prompt_table_from_a_prompt_set_matches_build_prompt_table(world, stub, frozen):
+    pparams = init_prompt_params(2, 32, seed=5)
+    built = build_prompt_table(pparams, stub, world, "night_rainy", frozen=frozen)
+    pset = build_prompt_set(pparams, stub, world, "night_rainy")
+    table = prompt_table(pset, stub, world.categories, frozen=frozen)
+    assert table.categories == built.categories
+    for got, want in zip(table.embeddings + [table.background], built.embeddings + [built.background]):
+        assert np.array_equal(got.values, want.values)
+        # a frozen table carries no graph back to the prompt parameters
+        assert (got._vjp is None) == frozen
+        assert (want._vjp is None) == frozen
+
+
+def test_training_leaves_no_gradients_on_parameters(world, stub):
+    pparams, eparams, _ = stage1_train(TINY, world, stub)
+    for p in pparams.unique_tensors() + eparams.trainable():
+        assert p.grad is None
+    head, _ = stage2_finetune(TINY, pparams, eparams, world, stub)
+    for p in head.params():
+        assert p.grad is None
+
+
 def test_run_full_baseline_skips_stage1(world, stub):
     cfg = dataclasses.replace(TINY, toggles=Toggles(False, False, False, False))
     res = run_full(cfg, world, stub)
@@ -242,18 +266,21 @@ def test_static_prompt_modes_never_update_params(world, stub):
     assert pparams.params_hash() == ref.params_hash()
 
 
-def test_upre_threads_matches_serial(world, monkeypatch):
+def test_run_ablation_matches_direct_runs_in_row_seed_order(world):
     from upre.config import CliConfig
+    from upre.pipeline import _apply_overrides
 
     base = CliConfig(train=TINY, world_seed=3)
-    spec = AblationSpec(base, seeds=(0, 1), rows=(AblationRow("full", {}),))
-    monkeypatch.delenv("UPRE_THREADS", raising=False)
-    serial = run_ablation(spec)
-    monkeypatch.setenv("UPRE_THREADS", "2")
-    threaded = run_ablation(spec)
-    assert [(r.row_id, r.seed, r.maps) for r in serial] == [
-        (r.row_id, r.seed, r.maps) for r in threaded
-    ]
+    rows = (AblationRow("full", {}), AblationRow("rdd_a", {"rdd_mask": ["align"]}))
+    results = run_ablation(AblationSpec(base, seeds=(0, 1), rows=rows))
+    assert [(r.row_id, r.seed) for r in results] == [("full", 0), ("full", 1), ("rdd_a", 0), ("rdd_a", 1)]
+    for res, (row, seed) in zip(results, [(row, seed) for row in rows for seed in (0, 1)]):
+        cfg = _apply_overrides(dataclasses.replace(TINY, seed=seed), row.overrides)
+        direct = run_full(cfg, world)
+        assert res.maps == {TINY.target_domain: direct.map_for(TINY.target_domain)}
+        assert res.val_mad == direct.stage1_report.mad_of_validation_loss
+    # the override reaches the runs: its rows differ from the plain ones
+    assert [r.val_mad for r in results[:2]] != [r.val_mad for r in results[2:]]
 
 
 def test_alternating_schedule_swaps_groups(world, stub):
@@ -519,23 +546,3 @@ def test_apply_deltas_clamps_match_np_clip():
     for prop, deltas in cases:
         for d in (deltas, deltas.tolist()):
             assert apply_deltas(prop, d, 28, 28) == _apply_deltas_np_clip(prop, d, 28, 28)
-
-
-@pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
-def test_upre_threads_rejects_non_positive_integers(value, monkeypatch):
-    from upre.pipeline import ablation_threads
-
-    monkeypatch.setenv("UPRE_THREADS", value)
-    with pytest.raises(ConfigError, match="UPRE_THREADS"):
-        ablation_threads()
-
-
-def test_upre_threads_values(monkeypatch):
-    from upre.pipeline import ablation_threads
-
-    monkeypatch.delenv("UPRE_THREADS", raising=False)
-    assert ablation_threads() == 1
-    monkeypatch.setenv("UPRE_THREADS", "")
-    assert ablation_threads() == 1
-    monkeypatch.setenv("UPRE_THREADS", "3")
-    assert ablation_threads() == 3
