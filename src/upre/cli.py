@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: train-prompt, finetune, eval, ablate, export-embeddings,
-gradcheck.  Exit codes: 0 success, 1 verification failure, 2 config or
-input error, 3 IO error, 4 blob version/corruption error.  Every output
-artifact carries the config hash and seed.  ``ablate`` runs its
-(row, seed) cells one after another.
+gradcheck.  Exit codes: 0 success, 1 verification failure or invalid
+state, 2 config or input error, 3 IO error, 4 blob version/corruption
+error, 5 any other package error (a shape, domain or contract check
+failed inside the program).  Every output artifact carries the config
+hash and seed.  ``ablate`` runs its (row, seed) cells one after another.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .checkpoint import load_blob, save_blob
 from .config import CliConfig, build_dataclass, config_hash, load_cli_config, to_plain
 from .encoders import EncoderConfig, EncoderStub
 from .enhancement import enhance, init_enhance_params
-from .errors import ConfigError, InputError, StateError, VersionError
+from .errors import ConfigError, InputError, StateError, UpreError, VersionError
 from .losses import (
     BG_VARIANTS,
     PnsBatch,
@@ -60,6 +61,7 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VERSION = 4
+EXIT_INTERNAL = 5
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -544,6 +546,9 @@ def main(argv=None) -> int:
     except StateError as exc:
         print(f"state error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except UpreError as exc:
+        print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -102,8 +102,14 @@ class TrainConfig:
                 raise ConfigError(f"{name}: lr must be positive and lr_drop_factor >= 1")
         if not (0.0 <= self.stage2.enhance_prob <= 1.0):
             raise ConfigError("stage2.enhance_prob must lie in [0, 1]")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
+        for name in (
+            "batch_size", "val_interval", "val_scenes", "pns_proposals",
+            "stage2_proposals", "eval_scenes", "eval_proposals",
+        ):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if len(self.enhance_grid) != 2 or min(self.enhance_grid) < 1:
+            raise ConfigError("enhance_grid must be two positive integers")
         if self.prompt_mode not in PROMPT_MODES:
             raise ConfigError(f"unknown prompt_mode {self.prompt_mode!r}")
         if self.bg_variant not in BG_VARIANTS:

@@ -1,8 +1,14 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes: config problems exit 2, IO
-problems exit 3, version/corruption problems exit 4, verification
-failures exit 1.
+The CLI maps these onto stable exit codes:
+
+- ``ConfigError`` and ``InputError`` exit 2;
+- ``OSError`` (not a package error) exits 3;
+- ``VersionError`` exits 4;
+- ``StateError`` exits 1, as do verification failures;
+- any other ``UpreError`` (``ShapeError``, ``DomainError``,
+  ``ContractError``) exits 5 with a one-line message: an internal check
+  failed on input that passed validation.
 """
 
 

@@ -14,6 +14,26 @@ normals come from Box-Muller pairs over those uniforms, so two runs with
 the same seed produce bit-identical streams.  Independent streams are
 derived from a parent seed plus a sequence of string/int keys, each key
 folded into the state through ``mix64``.
+
+Counter consumption is part of the contract, because callers lay out a
+whole scene's draws in advance and fill them in one pass:
+
+- ``uniform(n)`` and ``raw(n)`` take n counters, one value each.
+- ``integers(low, high, n)`` takes n counters; each int is
+  ``low + min(floor(u * (high - low)), high - low - 1)`` for its counter's
+  uniform u.  ``choice`` and ``int_ahead`` use the same formula, one
+  counter per int, and ``bernoulli`` takes one counter.
+- ``normal(n)`` takes 2*ceil(n/2) counters: a block of ceil(n/2) values
+  for u1, then a block of ceil(n/2) for u2, and gives
+  ``concat(r * cos(theta), r * sin(theta))[:n]`` with
+  ``r = sqrt(-2 log u1)`` and ``theta = 2 pi u2``, where u1 is shifted to
+  ``((value >> 11) + 1) * 2**-53`` in (0, 1] so the log is finite.  An odd
+  n drops its last sine.  ``normals`` fills several such blocks laid out
+  in one ``raw`` draw through one Box-Muller pass, and ``uniforms`` turns
+  raw values into ``uniform`` doubles.
+
+Every transcendental function runs through numpy, element by element, so
+a value does not depend on where it sits in a batch.
 """
 
 from __future__ import annotations
@@ -48,12 +68,63 @@ def _mix_int(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> _S30)
-    z = z * _U_MIX_A
-    z = z ^ (z >> _S27)
-    z = z * _U_MIX_B
-    z = z ^ (z >> _S31)
+    """mix64 in place on a uint64 array."""
+    z ^= z >> _S30
+    z *= _U_MIX_A
+    z ^= z >> _S27
+    z *= _U_MIX_B
+    z ^= z >> _S31
     return z
+
+
+def uniforms(raw: np.ndarray) -> np.ndarray:
+    """The ``uniform`` doubles of raw values."""
+    return (raw >> _S11).astype(np.float64) * _TWO_NEG53
+
+
+def _below(value: int, span: int) -> int:
+    """An int uniform over [0, span) from one raw value: floor(u * span), clamped."""
+    return min(math.floor((value >> 11) * _TWO_NEG53 * span), span - 1)
+
+
+def _box_muller(u1_raw: np.ndarray, u2_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r cos theta, r sin theta) for paired raw values, elementwise."""
+    r = (u1_raw >> _S11).astype(np.float64)
+    r += 1.0  # u1 in (0, 1] so the log is finite
+    r *= _TWO_NEG53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = uniforms(u2_raw)
+    theta *= 2.0 * math.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    cos *= r
+    theta *= r
+    return cos, theta
+
+
+def normal_counters(n: int) -> int:
+    """Counters taken by ``normal(n)``: a u1 block and a u2 block of ceil(n/2)."""
+    return 2 * ((n + 1) // 2)
+
+
+def normals(raw: np.ndarray, blocks) -> list[np.ndarray]:
+    """``normal(n)`` for each (offset, n) block laid out in ``raw``.
+
+    A block takes the 2*ceil(n/2) values from ``offset`` that ``normal(n)``
+    would take; values outside the blocks are left alone.  All blocks go
+    through one Box-Muller pass.
+    """
+    pairs = [(n + 1) // 2 for _, n in blocks]
+    u1 = np.concatenate([raw[o : o + p] for (o, _), p in zip(blocks, pairs)])
+    u2 = np.concatenate([raw[o + p : o + 2 * p] for (o, _), p in zip(blocks, pairs)])
+    cos, sin = _box_muller(u1, u2)
+    out, at = [], 0
+    for (_, n), p in zip(blocks, pairs):
+        out.append(np.concatenate([cos[at : at + p], sin[at : at + p]])[:n])
+        at += p
+    return out
 
 
 def _key_chunks(key) -> list[int]:
@@ -91,35 +162,35 @@ class Rng:
     def split(self, *keys) -> "Rng":
         return Rng(derive_seed(self.seed, *keys))
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+    def raw(self, n: int) -> np.ndarray:
+        """The next n raw 64-bit values as uint64."""
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        return _mix_array(np.uint64(self.seed) + idx * _U_GOLDEN)
+        z *= _U_GOLDEN
+        z += np.uint64(self.seed)
+        return _mix_array(z)
+
+    def int_ahead(self, offset: int, low: int, high: int) -> int:
+        """The ``integers(low, high)`` value ``offset`` counters ahead; the counter does not move."""
+        return low + _below(_mix_int(self.seed + (self._counter + offset + 1) * _GOLDEN), high - low)
 
     def uniform(self, n: int = 1) -> np.ndarray:
         """n doubles in [0, 1)."""
-        return ((self._raw(n) >> _S11).astype(np.float64)) * _TWO_NEG53
+        return uniforms(self.raw(n))
 
     def normal(self, shape=()) -> np.ndarray:
         """Standard normals via Box-Muller; scalar when shape is ()."""
         if isinstance(shape, int):
             shape = (shape,)
         count = int(np.prod(shape)) if shape else 1
-        pairs = (count + 1) // 2
-        # u1 in (0, 1] so the log is finite.
-        u1 = ((self._raw(pairs) >> _S11).astype(np.float64) + 1.0) * _TWO_NEG53
-        u2 = self.uniform(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
+        (z,) = normals(self.raw(normal_counters(count)), [(0, count)])
         return z.reshape(shape) if shape else float(z[0])
 
     def integers(self, low: int, high: int, n: int = 1) -> np.ndarray:
         """n ints uniform over [low, high); high must exceed low."""
         if high <= low:
             raise ValueError("integers() needs high > low")
-        span = high - low
-        return (low + np.floor(self.uniform(n) * span).astype(np.int64)).clip(low, high - 1)
+        return np.array([low + _below(v, high - low) for v in self.raw(n).tolist()], dtype=np.int64)
 
     def bernoulli(self, p: float) -> bool:
         """One draw, consuming exactly one stream value."""

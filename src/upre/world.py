@@ -18,6 +18,15 @@ Also here: the proposal sampler (jittered ground-truth boxes plus random
 boxes, labeled by IoU), ROI feature extraction for one box or a stack of
 boxes, and AP50/mAP/MAD metrics with all-points precision-recall
 interpolation.
+
+A scene and its proposals each draw their randomness as one block.  The
+scene reads its scalars (object count, box sizes, positions, categories)
+ahead of the stream counter, then fills the background and every blob
+normal from one counter range through one Box-Muller pass; a scene's
+proposals come from one 4-counters-per-proposal draw and are labelled
+with one (proposals x objects) IoU array.  Values and counters are those
+of drawing each scalar, normal and proposal on its own, in draw order
+(``tests/scene_reference.py`` keeps that per-draw form).
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from .autodiff import Tensor
 from .encoders import EncoderConfig, EncoderStub, default_vocab_sources
 from .enhancement import apply_style_field
 from .errors import ConfigError, InputError
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, normal_counters, normals, uniforms
 from .templates import TemplateBank
 
 DEFAULT_CATEGORIES = ("bus", "bike", "car", "motor", "person", "rider", "truck")
@@ -72,8 +81,10 @@ class WorldConfig:
             raise ConfigError(f"source domain {self.source_domain!r} not in domains")
         if self.min_objects < 1 or self.max_objects < self.min_objects:
             raise ConfigError("object count range invalid")
-        if self.box_min < 2 or self.box_max > min(self.height, self.width):
+        if self.box_min < 2 or self.box_max < self.box_min or self.box_max > min(self.height, self.width):
             raise ConfigError("box size range invalid")
+        if self.encoder.channels < 1:
+            raise ConfigError("encoder.channels must be at least 1")
 
 
 @dataclass
@@ -182,23 +193,37 @@ def generate_world(config: WorldConfig, seed: int) -> DomainWorld:
 
 
 def sample_scene(world: DomainWorld, domain: str, rng: Rng) -> Scene:
-    """Background noise + prototype blobs, then the domain's style field."""
+    """Background noise + prototype blobs, then the domain's style field.
+
+    Counter layout, in draw order: the (C, H, W) background normal, the
+    object count, then per object its width, height, x1, y1 and category
+    (one counter each) and its (C, bh, bw) blob normal.  The scalars are
+    read ahead of the counter, then every normal comes from one block draw.
+    """
     cfg = world.config
     if domain not in cfg.domains:
         raise InputError(f"unknown domain {domain!r}")
     ch, h, w = cfg.encoder.channels, cfg.height, cfg.width
-    feats = cfg.bg_noise * rng.normal((ch, h, w))
-    n_obj = int(rng.integers(cfg.min_objects, cfg.max_objects + 1)[0])
-    objects: list[SceneObject] = []
+    blocks = [(0, ch * h * w)]
+    at = normal_counters(ch * h * w)
+    n_obj = rng.int_ahead(at, cfg.min_objects, cfg.max_objects + 1)
+    at += 1
+    layout = []
     for _ in range(n_obj):
-        bw = int(rng.integers(cfg.box_min, cfg.box_max + 1)[0])
-        bh = int(rng.integers(cfg.box_min, cfg.box_max + 1)[0])
-        x1 = int(rng.integers(0, w - bw + 1)[0])
-        y1 = int(rng.integers(0, h - bh + 1)[0])
-        ci = rng.choice(len(cfg.categories))
-        blob = cfg.signal_gain * world.prototypes[ci][:, None, None] + cfg.object_noise * rng.normal(
-            (ch, bh, bw)
-        )
+        bw = rng.int_ahead(at, cfg.box_min, cfg.box_max + 1)
+        bh = rng.int_ahead(at + 1, cfg.box_min, cfg.box_max + 1)
+        x1 = rng.int_ahead(at + 2, 0, w - bw + 1)
+        y1 = rng.int_ahead(at + 3, 0, h - bh + 1)
+        ci = rng.int_ahead(at + 4, 0, len(cfg.categories))
+        at += 5
+        blocks.append((at, ch * bh * bw))
+        at += normal_counters(ch * bh * bw)
+        layout.append((bw, bh, x1, y1, ci))
+    noise, *blob_noise = normals(rng.raw(at), blocks)
+    feats = cfg.bg_noise * noise.reshape(ch, h, w)
+    objects: list[SceneObject] = []
+    for (bw, bh, x1, y1, ci), z in zip(layout, blob_noise):
+        blob = cfg.signal_gain * world.prototypes[ci][:, None, None] + cfg.object_noise * z.reshape(ch, bh, bw)
         feats[:, y1 : y1 + bh, x1 : x1 + bw] += blob
         objects.append(SceneObject((float(x1), float(y1), float(x1 + bw), float(y1 + bh)), cfg.categories[ci]))
     sigma, mu = world.domain_styles[domain]
@@ -219,56 +244,66 @@ def iou(box_a, box_b) -> float:
 
 
 def _clip_box(x1, y1, x2, y2, w, h, min_side=2.0):
-    # builtin clamps, since lo <= hi in each: np.clip is slow on Python scalars
-    w, h = float(w), float(h)
-    x1 = min(max(float(x1), 0.0), w - min_side)
-    y1 = min(max(float(y1), 0.0), h - min_side)
-    x2 = min(max(float(x2), x1 + min_side), w)
-    y2 = min(max(float(y2), y1 + min_side), h)
+    """Clamp boxes (arrays or scalars) into the (w, h) extent, each side at least ``min_side``."""
+    x1 = np.minimum(np.maximum(x1, 0.0), w - min_side)
+    y1 = np.minimum(np.maximum(y1, 0.0), h - min_side)
+    x2 = np.minimum(np.maximum(x2, x1 + min_side), w)
+    y2 = np.minimum(np.maximum(y2, y1 + min_side), h)
     return x1, y1, x2, y2
 
 
-def _label_proposal(box, objects, threshold) -> Proposal:
-    best_iou, best_obj = 0.0, None
-    for obj in objects:
-        v = iou(box, obj.box)
-        if v > best_iou:
-            best_iou, best_obj = v, obj
-    if best_iou >= threshold and best_obj is not None:
-        return Proposal(box, best_iou, "positive", best_obj.category, best_obj.box)
-    return Proposal(box, best_iou, "negative", None, None)
+def _label_proposals(boxes: np.ndarray, objects: list[SceneObject], threshold: float) -> list[Proposal]:
+    """Label (N, 4) boxes by their best-IoU object, the first one on ties."""
+    obj = np.array([o.box for o in objects]).reshape(-1, 4)
+    if ((obj[:, 2] <= obj[:, 0]) | (obj[:, 3] <= obj[:, 1])).any():
+        raise InputError("degenerate box")
+    ax1, ay1, ax2, ay2 = (boxes[:, k : k + 1] for k in range(4))
+    bx1, by1, bx2, by2 = obj.T
+    # iou(), elementwise over (proposal, object) pairs
+    ix = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+    iy = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
+    inter = ix * iy
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    # column 0 is "no object" at IoU 0.0, so an object must beat 0.0 strictly
+    ious = np.concatenate([np.zeros((len(boxes), 1)), inter / union], axis=1)
+    best = ious.argmax(axis=1)
+    out = []
+    for box, v, j in zip(boxes.tolist(), ious[np.arange(len(boxes)), best].tolist(), best.tolist()):
+        if j and v >= threshold:
+            out.append(Proposal(tuple(box), v, "positive", objects[j - 1].category, objects[j - 1].box))
+        else:
+            out.append(Proposal(tuple(box), v, "negative", None, None))
+    return out
 
 
 def propose(scene: Scene, rng: Rng, count: int, iou_pos_threshold: float = 0.5, jitter: float = 0.18) -> list[Proposal]:
-    """Jittered ground-truth boxes interleaved with uniform random boxes."""
+    """Jittered ground-truth boxes interleaved with uniform random boxes.
+
+    Proposal i takes counters 4i+1..4i+4 of one draw: even i jitters object
+    (i // 2) mod n_obj by ``normal(4)`` noise, odd i (every i when the scene
+    has no objects) places a random box from ``uniform(4)``.
+    """
     if count < 1:
         raise InputError("propose: count must be at least 1")
     _, h, w = scene.features.shape
-    proposals: list[Proposal] = []
+    raw = rng.raw(4 * count).reshape(count, 4)
     n_obj = len(scene.objects)
-    for i in range(count):
-        if i % 2 == 0 and n_obj:
-            obj = scene.objects[(i // 2) % n_obj]
-            x1, y1, x2, y2 = obj.box
-            bw, bh = x2 - x1, y2 - y1
-            noise = rng.normal(4)
-            box = _clip_box(
-                x1 + noise[0] * jitter * bw,
-                y1 + noise[1] * jitter * bh,
-                x2 + noise[2] * jitter * bw,
-                y2 + noise[3] * jitter * bh,
-                w,
-                h,
-            )
-        else:
-            u = rng.uniform(4)
-            bw = 3.0 + u[0] * (w / 2 - 3.0)
-            bh = 3.0 + u[1] * (h / 2 - 3.0)
-            x1 = u[2] * (w - bw)
-            y1 = u[3] * (h - bh)
-            box = _clip_box(x1, y1, x1 + bw, y1 + bh, w, h)
-        proposals.append(_label_proposal(box, scene.objects, iou_pos_threshold))
-    return proposals
+    jittered = np.arange(0, count, 2) if n_obj else np.arange(0)
+    rand = np.arange(1, count, 2) if n_obj else np.arange(count)
+    pre = np.empty((count, 4))
+    if n_obj:
+        obj = np.array([o.box for o in scene.objects])[(jittered // 2) % n_obj]
+        noise = np.array(normals(raw.ravel(), [(4 * i, 4) for i in jittered.tolist()]))
+        size = np.tile(obj[:, 2:] - obj[:, :2], 2)  # (bw, bh, bw, bh)
+        pre[jittered] = obj + noise * jitter * size
+    u = uniforms(raw[rand])
+    bw = 3.0 + u[:, 0] * (w / 2 - 3.0)
+    bh = 3.0 + u[:, 1] * (h / 2 - 3.0)
+    x1 = u[:, 2] * (w - bw)
+    y1 = u[:, 3] * (h - bh)
+    pre[rand] = np.stack([x1, y1, x1 + bw, y1 + bh], axis=1)
+    boxes = np.stack(_clip_box(*pre.T, float(w), float(h)), axis=1)
+    return _label_proposals(boxes, scene.objects, iou_pos_threshold)
 
 
 # one sample per bin at the bin center, in bins from the box edge

@@ -300,3 +300,54 @@ def test_eval_on_a_corrupt_blob_directory_exits_4(tmp_path, capsys):
     blob.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header.encode("utf-8") + b"\0" * 4)
     assert cli.main(["eval", "--model", str(blob), "--domain", "night_rainy"]) == 4
     assert "w_reg" in capsys.readouterr().err
+
+
+def _with(overrides: dict) -> dict:
+    """TINY_CONFIG with each dotted path in ``overrides`` set to its value."""
+    data = json.loads(json.dumps(TINY_CONFIG))
+    for path, value in overrides.items():
+        *parents, leaf = path.split(".")
+        node = data
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"world.box_min": 12, "world.box_max": 10},
+        {"world.encoder.channels": 0},
+        {"train.val_interval": 0},
+        {"train.enhance_grid": [7]},
+        {"train.enhance_grid": [7, 7, 7]},
+        {"train.enhance_grid": [0, 7]},
+        {"train.batch_size": 0},
+        {"train.val_scenes": 0},
+        {"train.eval_scenes": 0},
+        {"train.pns_proposals": 0},
+        {"train.stage2_proposals": 0},
+        {"train.eval_proposals": 0},
+    ],
+)
+def test_train_prompt_rejects_bad_field_with_exit_2(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, _with(overrides))
+    out = tmp_path / "o"
+    assert cli.main(["train-prompt", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", ["DomainError", "ShapeError", "ContractError"])
+def test_other_package_errors_exit_5_with_one_line(tmp_path, capsys, monkeypatch, error):
+    from upre import errors
+
+    def fail(*args, **kwargs):
+        raise getattr(errors, error)("boom")
+
+    monkeypatch.setattr(cli, "stage1_train", fail)
+    cfg = write_config(tmp_path)
+    assert cli.main(["train-prompt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+    assert capsys.readouterr().err == f"internal error ({error}): boom\n"

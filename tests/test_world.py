@@ -19,6 +19,7 @@ from upre.world import (
     sample_scene,
 )
 
+import scene_reference
 from ap_oracle import oracle_ap, random_instance
 
 
@@ -117,14 +118,12 @@ def test_propose_threshold_and_labels(world):
         else:
             assert p.matched_category is None
     # exact ground-truth copy is positive with IoU 1
-    from upre.world import _label_proposal
+    from upre.world import _label_proposals
 
-    exact = _label_proposal(scene.objects[0].box, scene.objects, 0.5)
+    (exact,) = _label_proposals(np.array([scene.objects[0].box]), scene.objects, 0.5)
     assert exact.polarity == "positive" and exact.max_iou == 1.0
     # raising the threshold never converts negatives to positives
-    strict = [
-        _label_proposal(p.box, scene.objects, 0.7) for p in props
-    ]
+    strict = _label_proposals(np.array([p.box for p in props]), scene.objects, 0.7)
     for loose, tight in zip(props, strict):
         if loose.polarity == "negative":
             assert tight.polarity == "negative"
@@ -231,7 +230,7 @@ def test_world_serialization_roundtrip(world, tmp_path):
 
 
 def _clip_box_np(x1, y1, x2, y2, w, h, min_side=2.0):
-    """``_clip_box`` with numpy clamps, as a reference for the builtin ones."""
+    """``_clip_box`` with ``np.clip``, as a reference for its min/max clamps."""
     x1 = float(np.clip(x1, 0.0, w - min_side))
     y1 = float(np.clip(y1, 0.0, h - min_side))
     x2 = float(np.clip(x2, x1 + min_side, w))
@@ -323,3 +322,62 @@ def test_evaluate_ap50_compares_only_same_scene_ground_truth(monkeypatch):
     twins = [GroundTruth(0, "car", (0.0, 0.0, 4.0, 4.0)), GroundTruth(0, "car", (0.0, 0.0, 4.0, 4.0))]
     per, _ = evaluate_ap50([Prediction(0, "car", 0.9, (0.0, 0.0, 4.0, 4.0)), Prediction(0, "car", 0.8, (0.0, 0.0, 4.0, 4.0))], twins)
     assert per["car"] == 0.5
+
+
+def _assert_same_draws(world, domain, seed, counts=(16,)):
+    """Block-drawn scene and proposals equal the per-draw reference, counters included."""
+    new_rng, ref_rng = Rng(seed), Rng(seed)
+    scene = sample_scene(world, domain, new_rng)
+    ref = scene_reference.sample_scene(world, domain, ref_rng)
+    assert scene.features.values.tobytes() == ref.features.values.tobytes()
+    assert scene.objects == ref.objects and scene.domain == ref.domain
+    assert new_rng._counter == ref_rng._counter
+    for count in counts:
+        _assert_same_proposals(scene, new_rng, ref_rng, count, world.config)
+
+
+def _assert_same_proposals(scene, new_rng, ref_rng, count, cfg=WorldConfig()):
+    props = propose(scene, new_rng, count, cfg.iou_pos_threshold, cfg.proposal_jitter)
+    ref = scene_reference.propose(scene, ref_rng, count, cfg.iou_pos_threshold, cfg.proposal_jitter)
+    # repr tells a Python float from a numpy one
+    assert repr(props) == repr(ref)
+    assert props == ref
+    assert new_rng._counter == ref_rng._counter
+
+
+def test_scenes_match_the_per_draw_reference_in_every_domain(world):
+    for domain in world.domains:
+        for i in range(200):
+            _assert_same_draws(world, domain, 31 * i + 7)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # odd channel counts give odd-length blob normals that drop their last sine
+        WorldConfig(encoder=EncoderConfig(channels=3), height=27, width=27, box_max=15),
+        WorldConfig(box_min=9, box_max=9, min_objects=3, max_objects=3),
+    ],
+    ids=["odd_channels", "fixed_sizes"],
+)
+def test_scenes_match_the_per_draw_reference_on_edge_configs(config):
+    world = generate_world(config, seed=5)
+    for domain in world.domains[:2]:
+        for i in range(40):
+            _assert_same_draws(world, domain, 1000 + i, counts=(1, 7))
+
+
+def test_proposals_on_a_scene_without_objects_match_the_reference(world):
+    from upre import autodiff as ad
+    from upre.world import Scene, SceneObject
+
+    empty = Scene(ad.constant(np.zeros((16, 28, 28))), [], "daytime_clear")
+    for count in (1, 7, 16):
+        new_rng, ref_rng = Rng(count), Rng(count)
+        _assert_same_proposals(empty, new_rng, ref_rng, count)
+        props = propose(empty, Rng(count), count)
+        assert all(p.polarity == "negative" and p.max_iou == 0.0 and p.matched_box is None for p in props)
+    flat = Scene(empty.features, [SceneObject((4.0, 4.0, 4.0, 9.0), "car")], "daytime_clear")
+    for sampler in (propose, scene_reference.propose):
+        with pytest.raises(InputError, match="degenerate box"):
+            sampler(flat, Rng(0), 3)
